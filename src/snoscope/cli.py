@@ -12,19 +12,21 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import logging
 import os
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence, TypeVar
+
+import numpy as np
 
 from . import bgp, filtering, metrics, profiling, starlink, synth
 from .catalog import SnoCatalog, make_bands
 from .ingest import (
     RecordError,
-    SpeedTestSession,
     TableError,
     TracerouteMeasurement,
     parse_aspath_stream,
@@ -42,6 +44,13 @@ log = logging.getLogger("snoscope")
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
+
+# Parse errors a classify manifest lists, first to last.
+PARSE_ERROR_SAMPLE = 20
+
+SESSION_TABLE_NAME = "session_metrics.npy"
+
+T = TypeVar("T")
 
 
 def _packaged(name: str) -> Path:
@@ -186,16 +195,23 @@ def _require_inputs(opts: Options, count: int, what: str) -> list[Path]:
     return opts.inputs
 
 
-def _counting_sessions(
-    stream: Iterable[SpeedTestSession | RecordError],
-    error_count: list[int],
-) -> Iterator[SpeedTestSession]:
-    for item in stream:
-        if isinstance(item, RecordError):
-            error_count[0] += 1
-            log.debug("skipping bad record: %s", item)
-            continue
-        yield item
+class ParseErrors:
+    """The records a lenient parse skipped: how many, and the first few."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.sample: list[RecordError] = []
+
+    def skip(self, stream: Iterable[T | RecordError]) -> Iterator[T]:
+        """Yield a parse stream's records, counting and dropping its RecordErrors."""
+        for item in stream:
+            if isinstance(item, RecordError):
+                self.count += 1
+                if len(self.sample) < PARSE_ERROR_SAMPLE:
+                    self.sample.append(item)
+                log.debug("skipping bad record: %s", item)
+                continue
+            yield item
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
@@ -248,12 +264,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
     (speedtests_path,) = _require_inputs(opts, 1, "the speed-test NDJSON corpus")
     catalog = _load_catalog(opts)
-    errors = [0]
-    sessions = _counting_sessions(
-        parse_speedtest_stream(speedtests_path, strictness=opts.strictness()), errors
-    )
+    errors = ParseErrors()
+    digest = hashlib.sha256()
+    table = metrics.SessionTableBuilder()
+    sessions = errors.skip(parse_speedtest_stream(speedtests_path, strictness=opts.strictness(), digest=digest))
     corpus = filtering.run_pipeline(
-        sessions,
+        table.measure(sessions),
         catalog,
         min_tests=opts.min_tests,
         global_floor_ms=opts.global_floor_ms,
@@ -299,21 +315,27 @@ def cmd_classify(args: argparse.Namespace) -> int:
             for a in anomalies
         ),
     )
+    # Row i of the table describes the session behind line i of dispositions.ndjson.
+    table_path = out / SESSION_TABLE_NAME
+    metrics.save_session_table(table_path, table.build([d.index for d in corpus.dispositions]))
     _write_manifest(
         out,
-        [dispositions_path, summary_path, anomalies_path],
+        [dispositions_path, summary_path, anomalies_path, table_path],
         {
             "input_sessions": corpus.input_count,
             "accepted": corpus.accepted_count(),
-            "parse_errors": errors[0],
+            "parse_errors": errors.count,
             "ipv6_excluded": corpus.ipv6_excluded,
             "min_tests": opts.min_tests,
             "global_floor_ms": opts.global_floor_ms,
+            "input": {"sha256": digest.hexdigest(), "bytes": speedtests_path.stat().st_size},
+            "strictness": opts.strictness(),
+            "parse_error_sample": [[e.line_no, e.reason] for e in errors.sample],
         },
     )
     print(
         f"classify: {corpus.input_count} sessions in, {corpus.accepted_count()} accepted, "
-        f"{errors[0]} parse errors, {len(anomalies)} ASN anomalies -> {out}"
+        f"{errors.count} parse errors, {len(anomalies)} ASN anomalies -> {out}"
     )
     return EXIT_OK
 
@@ -322,15 +344,50 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # report: metrics
 
 
-def _load_dispositions(path: Path) -> dict[str, tuple[str | None, str]]:
-    out: dict[str, tuple[str | None, str]] = {}
+def _load_dispositions(path: Path) -> tuple[list[str], dict[str, tuple[str | None, str]]]:
+    """Session ids in file order, and each id's (sno, stage); the last line wins for a repeated id."""
+    ids: list[str] = []
+    by_id: dict[str, tuple[str | None, str]] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
             if not line.strip():
                 continue
             obj = json.loads(line)
-            out[obj["session_id"]] = (obj.get("sno"), obj["stage"])
-    return out
+            ids.append(obj["session_id"])
+            by_id[obj["session_id"]] = (obj.get("sno"), obj["stage"])
+    return ids, by_id
+
+
+def _load_classify_run(
+    dispositions: Path, speedtests: Path, strict: bool
+) -> tuple[list[str], dict[str, tuple[str | None, str]], np.ndarray]:
+    """The dispositions and session table of the classify run that wrote `dispositions`.
+
+    The run's manifest must show that it read `speedtests`, and both files
+    must match their recorded digests. Under strict parsing, a run that
+    skipped malformed records is refused with the first of them.
+    """
+    manifest_path = dispositions.parent / "manifest.json"
+    table_path = dispositions.parent / SESSION_TABLE_NAME
+    if not manifest_path.is_file():
+        raise OSError(f"no classify manifest beside {dispositions}: {manifest_path} not found")
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, dict) or not isinstance(manifest.get("input"), dict):
+        raise ValueError(f"{manifest_path} lacks the input and file digests; re-run classify")
+    for path in (dispositions, table_path):
+        if path.name not in files or not path.is_file():
+            raise OSError(f"{path} not found, or not listed in {manifest_path}; re-run classify")
+    if sha256_file(speedtests) != manifest["input"].get("sha256"):
+        raise ValueError(f"--input {speedtests} is not the corpus that classify read for {dispositions}")
+    for path in (dispositions, table_path):
+        if sha256_file(path) != files[path.name].get("sha256"):
+            raise ValueError(f"{path} does not match its digest in {manifest_path}")
+    if strict and manifest.get("parse_errors"):
+        line_no, reason = manifest["parse_error_sample"][0]
+        raise RecordError(line_no, reason)
+    ids, by_id = _load_dispositions(dispositions)
+    return ids, by_id, metrics.load_session_table(table_path)
 
 
 def _round_cdf(points: list[tuple[float, float]], digits: int = 4) -> list[tuple[float, float]]:
@@ -346,16 +403,12 @@ def cmd_report_metrics(args: argparse.Namespace) -> int:
     if opts.dispositions is None:
         raise ValueError("report metrics needs --dispositions (from a classify run)")
     catalog = _load_catalog(opts)
-    by_id = _load_dispositions(opts.dispositions)
-    errors = [0]
-    rows: list[metrics.SessionMetrics] = []
-    for session in _counting_sessions(
-        parse_speedtest_stream(speedtests_path, strictness=opts.strictness()), errors
-    ):
-        sno, stage = by_id.get(session.session_id, (None, filtering.STAGE_REJECTED))
-        if stage == filtering.STAGE_REJECTED or sno is None:
-            continue
-        rows.append(metrics.session_metrics(session, sno=sno))
+    ids, by_id, table = _load_classify_run(opts.dispositions, speedtests_path, opts.strict_parsing)
+    snos = []
+    for session_id in ids:
+        sno, stage = by_id[session_id]
+        snos.append(None if stage == filtering.STAGE_REJECTED else sno)
+    rows = metrics.table_metrics(table, ids, snos)
 
     plans = (
         ("latency", "latency_p5_ms", metrics.GROUPING_ORBIT),
@@ -413,13 +466,9 @@ def cmd_report_traceroute(args: argparse.Namespace) -> int:
         raise ValueError("report traceroute needs --rdns (ip,hostname CSV)")
     rdns = parse_rdns(opts.rdns)
     pop_table = parse_pop_table(opts.pop_table)
-    errors = [0]
+    errors = ParseErrors()
     by_probe: dict[int, list[TracerouteMeasurement]] = {}
-    for item in parse_traceroute_stream(traceroutes_path, strictness=opts.strictness()):
-        if isinstance(item, RecordError):
-            errors[0] += 1
-            log.debug("skipping bad record: %s", item)
-            continue
+    for item in errors.skip(parse_traceroute_stream(traceroutes_path, strictness=opts.strictness())):
         by_probe.setdefault(item.probe_id, []).append(item)
 
     timeline_rows: list[dict[str, Any]] = []
@@ -487,24 +536,13 @@ def cmd_report_traceroute(args: argparse.Namespace) -> int:
     )
     print(
         f"report traceroute: {len(by_probe)} probes, {len(timeline_rows)} assignments, "
-        f"{len(event_rows)} events, {errors[0]} parse errors -> {out}"
+        f"{len(event_rows)} events, {errors.count} parse errors -> {out}"
     )
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # report: bgp
-
-
-def _read_paths_file(path: Path, strictness: str, errors: list[int]) -> list[Any]:
-    records = []
-    for item in parse_aspath_stream(path, strictness=strictness):
-        if isinstance(item, RecordError):
-            errors[0] += 1
-            log.debug("skipping bad record: %s", item)
-            continue
-        records.append(item)
-    return records
 
 
 def cmd_report_bgp(args: argparse.Namespace) -> int:
@@ -521,9 +559,9 @@ def cmd_report_bgp(args: argparse.Namespace) -> int:
     catalog = _load_catalog(opts)
     entry = catalog.get(opts.sno)
     registry = parse_registry(opts.registry)
-    errors = [0]
+    errors = ParseErrors()
     graphs = [
-        bgp.build_graph(_read_paths_file(path, opts.strictness(), errors), entry, registry)
+        bgp.build_graph(list(errors.skip(parse_aspath_stream(path, strictness=opts.strictness()))), entry, registry)
         for path in opts.inputs
     ]
 
@@ -568,7 +606,7 @@ def cmd_report_bgp(args: argparse.Namespace) -> int:
             + [{"kind": "removed_country", "value": v} for v in sorted(diff.removed_countries)]
         )
         _write_ndjson(out / "diff.ndjson", deltas)
-    print(f"report bgp: {opts.sno}, {len(graphs)} snapshot(s), {errors[0]} parse errors -> {out}")
+    print(f"report bgp: {opts.sno}, {len(graphs)} snapshot(s), {errors.count} parse errors -> {out}")
     return EXIT_OK
 
 
@@ -614,7 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_metrics = report_sub.add_parser("metrics", help="performance metric exports")
     _add_common_flags(p_metrics)
-    p_metrics.add_argument("--dispositions", help="dispositions.ndjson from a classify run")
+    p_metrics.add_argument("--dispositions",
+                           help="dispositions.ndjson of a classify run over --input, beside its manifest and session table")
     p_metrics.set_defaults(func=cmd_report_metrics)
 
     p_trace = report_sub.add_parser("traceroute", help="PoP timelines and change events")

@@ -41,13 +41,19 @@ REASON_BELOW_THRESHOLD = "below_threshold"
 
 @dataclass(slots=True)
 class SessionRef:
-    """The slice of a session the filter stages need."""
+    """The slice of a session the filter stages need.
+
+    index is the session's position in run_pipeline's input (-1 for a ref
+    built outside a pipeline run); its disposition carries it on. It is
+    bookkeeping, so equality ignores it.
+    """
 
     session_id: str
     sno: str
     client_ip: IPAddress
     access_latency_ms: float
     timestamp: datetime
+    index: int = field(default=-1, compare=False)
 
     @classmethod
     def from_session(cls, session: SpeedTestSession, sno: str) -> "SessionRef":
@@ -140,12 +146,19 @@ def relaxed_filter(ref: SessionRef, threshold_ms: float) -> bool:
 
 @dataclass(slots=True)
 class Disposition:
-    """Final per-session outcome: which stage accepted it, or why rejected."""
+    """Final per-session outcome: which stage accepted it, or why rejected.
+
+    index is the session's position in run_pipeline's input, so that data
+    kept per input session can follow the dispositions' session-id order
+    even when session ids repeat. Equality ignores it: the outcome of a
+    session does not depend on where it sat in the input.
+    """
 
     session_id: str
     sno: str | None
     stage: str
     reason: str | None = None
+    index: int = field(default=-1, compare=False)
 
 
 @dataclass
@@ -215,10 +228,10 @@ def _filter_sno(
             stage = STAGE_REJECTED
         if stage == STAGE_REJECTED:
             result.rejected_count += 1
-            dispositions.append(Disposition(ref.session_id, entry.name, stage, REASON_BELOW_THRESHOLD))
+            dispositions.append(Disposition(ref.session_id, entry.name, stage, REASON_BELOW_THRESHOLD, ref.index))
         else:
             result.accepted.append(ref)
-            dispositions.append(Disposition(ref.session_id, entry.name, stage))
+            dispositions.append(Disposition(ref.session_id, entry.name, stage, index=ref.index))
     return result, dispositions
 
 
@@ -258,23 +271,23 @@ def run_pipeline(
             result = per_sno[entry.name] = SnoResult(entry.name, entry.orbits, entry.pep, threshold_ms=None)
         return result
 
-    for session in sessions:
+    for index, session in enumerate(sessions):
         input_count += 1
         hit = catalog.lookup(session.client_asn)
         if hit is None:
-            dispositions.append(Disposition(session.session_id, None, STAGE_REJECTED, REASON_UNKNOWN_ASN))
+            dispositions.append(Disposition(session.session_id, None, STAGE_REJECTED, REASON_UNKNOWN_ASN, index))
             continue
         entry, role = hit
         latency = access_latency(session)
         asn_latencies.setdefault(session.client_asn, []).append(latency)
         if role != ROLE_SUBSCRIBER:
             excluded_rejections[entry.name] = excluded_rejections.get(entry.name, 0) + 1
-            dispositions.append(Disposition(session.session_id, entry.name, STAGE_REJECTED, REASON_EXCLUDED_ASN))
+            dispositions.append(Disposition(session.session_id, entry.name, STAGE_REJECTED, REASON_EXCLUDED_ASN, index))
             continue
-        ref = SessionRef(session.session_id, entry.name, session.client_ip, latency, session.timestamp)
+        ref = SessionRef(session.session_id, entry.name, session.client_ip, latency, session.timestamp, index)
         if entry.orbits == frozenset(("LEO",)):
             result_for(entry).accepted.append(ref)
-            dispositions.append(Disposition(ref.session_id, entry.name, STAGE_ASN))
+            dispositions.append(Disposition(ref.session_id, entry.name, STAGE_ASN, index=index))
         else:
             entries[entry.name] = entry
             pending.setdefault(entry.name, []).append(ref)

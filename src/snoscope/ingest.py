@@ -33,6 +33,9 @@ UNRESPONSIVE = "*"
 
 IPAddress = Union[IPv4Address, IPv6Address]
 
+# ASNs are unsigned 32-bit numbers (RFC 6793).
+MAX_ASN = 2**32 - 1
+
 Source = Union[str, Path, TextIO, Iterable[Union[str, bytes]]]
 
 
@@ -131,23 +134,36 @@ class PopLocation:
 # line iteration
 
 
-def _iter_lines(source: Source) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, decoded line) from a path, file, or iterable."""
+def _iter_lines(source: Source, digest: Any = None) -> Iterator[tuple[int, str | bytes]]:
+    """Yield (1-based line number, raw line) from a path, file, or iterable.
+
+    A path is read as bytes, and each line is decoded by its parser (see
+    _decode), so one undecodable line is one malformed record. With a
+    digest (a hashlib object) the source must be a path, and every line's
+    bytes are hashed as they are read: once the lines are exhausted, the
+    digest covers the whole file.
+    """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            yield from enumerate(handle, start=1)
+        with open(source, "rb") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if digest is not None:
+                    digest.update(line)
+                yield line_no, line
         return
+    if digest is not None:
+        raise ValueError("hashing a stream needs a file path source")
     if isinstance(source, bytes):
         source = io.BytesIO(source)
-    lines: Iterable[str | bytes]
-    if hasattr(source, "read"):
-        lines = source  # type: ignore[assignment]
-    else:
-        lines = source
-    for line_no, raw in enumerate(lines, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8", errors="replace")
-        yield line_no, raw
+    yield from enumerate(source, start=1)
+
+
+def _decode(line: str | bytes) -> str:
+    if isinstance(line, str):
+        return line
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"invalid UTF-8 at byte {exc.start}") from None
 
 
 def _check_strictness(strictness: str) -> None:
@@ -171,18 +187,23 @@ def _as_str(value: Any, name: str) -> str:
     return value
 
 
-def _as_int(value: Any, name: str, minimum: int | None = None) -> int:
+def _as_int(value: Any, name: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value}")
     return value
 
 
 def _as_number(value: Any, name: str, minimum: float | None = None, strict_min: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
     if not math.isfinite(out):
         raise ValueError(f"{name} must be finite")
     if minimum is not None:
@@ -251,7 +272,7 @@ def session_from_dict(obj: Any) -> SpeedTestSession:
         session_id=_as_str(_require(obj, "session_id"), "session_id"),
         timestamp=_as_timestamp(_require(obj, "timestamp")),
         client_ip=_as_ip(_require(obj, "client_ip"), "client_ip"),
-        client_asn=_as_int(_require(obj, "client_asn"), "client_asn", minimum=1),
+        client_asn=_as_int(_require(obj, "client_asn"), "client_asn", minimum=1, maximum=MAX_ASN),
         direction=direction,
         snapshots=snapshots,
     )
@@ -261,16 +282,20 @@ def _parse_ndjson_stream(
     source: Source,
     builder: Callable[[Any], Any],
     strictness: str,
+    digest: Any = None,
 ) -> Iterator[Any]:
     _check_strictness(strictness)
-    for line_no, line in _iter_lines(source):
-        if not line.strip():
-            continue
+    for line_no, raw in _iter_lines(source, digest):
         try:
+            line = _decode(raw)
+            if not line.strip():
+                continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"invalid JSON: {exc.msg}") from None
+            except RecursionError:
+                raise ValueError("invalid JSON: nested too deeply") from None
             yield builder(obj)
         except ValueError as exc:
             err = RecordError(line_no, str(exc))
@@ -279,9 +304,15 @@ def _parse_ndjson_stream(
             yield err
 
 
-def parse_speedtest_stream(source: Source, strictness: str = STRICTNESS_LENIENT) -> Iterator[SpeedTestSession | RecordError]:
-    """Stream speed-test sessions from NDJSON; see module docstring for policy."""
-    return _parse_ndjson_stream(source, session_from_dict, strictness)
+def parse_speedtest_stream(
+    source: Source, strictness: str = STRICTNESS_LENIENT, digest: Any = None
+) -> Iterator[SpeedTestSession | RecordError]:
+    """Stream speed-test sessions from NDJSON; see module docstring for policy.
+
+    A digest (a hashlib object) receives the bytes of a path source as they
+    are read, so the corpus is hashed in the same pass that parses it.
+    """
+    return _parse_ndjson_stream(source, session_from_dict, strictness, digest)
 
 
 def snapshot_to_dict(snap: TcpSnapshot) -> dict[str, Any]:
@@ -401,8 +432,8 @@ def aspath_from_line(line: str) -> AsPathRecord:
         if not tok.isdigit():
             raise ValueError(f"non-numeric ASN token {tok!r}")
         asn = int(tok)
-        if asn < 1:
-            raise ValueError(f"ASN must be positive, got {asn}")
+        if not 1 <= asn <= MAX_ASN:
+            raise ValueError(f"ASN must be in [1, {MAX_ASN}], got {asn}")
         # Collapse consecutive repeats: path prepending is not adjacency.
         if not path or path[-1] != asn:
             path.append(asn)
@@ -411,11 +442,11 @@ def aspath_from_line(line: str) -> AsPathRecord:
 
 def parse_aspath_stream(source: Source, strictness: str = STRICTNESS_LENIENT) -> Iterator[AsPathRecord | RecordError]:
     _check_strictness(strictness)
-    for line_no, line in _iter_lines(source):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for line_no, raw in _iter_lines(source):
         try:
+            stripped = _decode(raw).strip()
+            if not stripped or stripped.startswith("#"):
+                continue
             yield aspath_from_line(stripped)
         except ValueError as exc:
             err = RecordError(line_no, str(exc))

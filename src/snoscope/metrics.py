@@ -5,18 +5,28 @@ ceiling (95th percentile of RTT variance), their ratio as a dimensionless
 variability score, and the final retransmitted-byte fraction. Group-level
 comparisons aggregate these into quantile boxes, full CDFs, and UTC daily
 median series.
+
+Per-session metrics are saved as a session table: a NumPy .npy file of one
+structured array, which lets a report aggregate them without parsing the
+corpus again.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from datetime import date, timezone
-from typing import Callable, Iterable, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .catalog import SnoCatalog, SnoEntry
 from .filtering import STAGE_REJECTED, ClassifiedCorpus
 from .ingest import SpeedTestSession
 from .profiling import percentile
+from .util import atomic_write
 
 JITTER_QUANTILE = 0.95
 
@@ -60,6 +70,79 @@ def session_metrics(session: SpeedTestSession, sno: str | None = None) -> Sessio
         jitter_variability=jitter_p95 / latency_p5,
         retrans_fraction=retrans,
     )
+
+
+# One row per session. day is the UTC date as a proleptic Gregorian ordinal
+# (date.toordinal); a NaN retrans_fraction stands for None. The ratio
+# jitter_variability is not stored: it is recomputed from its two terms.
+SESSION_TABLE_DTYPE = np.dtype(
+    [("day", "<i4"), ("latency_p5_ms", "<f8"), ("jitter_p95_ms", "<f8"), ("retrans_fraction", "<f8")]
+)
+
+
+class SessionTableBuilder:
+    """Session metrics collected in input order, in compact column buffers."""
+
+    def __init__(self) -> None:
+        # One value per table column per session, interleaved; a day ordinal
+        # is exact as a double.
+        self._values = array("d")
+
+    def measure(self, sessions: Iterable[SpeedTestSession]) -> Iterator[SpeedTestSession]:
+        """Pass sessions through, appending the metrics of each one."""
+        for session in sessions:
+            m = session_metrics(session)
+            retrans = math.nan if m.retrans_fraction is None else m.retrans_fraction
+            self._values.extend((m.day.toordinal(), m.latency_p5_ms, m.jitter_p95_ms, retrans))
+            yield session
+
+    def build(self, order: Sequence[int]) -> np.ndarray:
+        """The session table whose row i holds the order[i]-th session measured."""
+        names = SESSION_TABLE_DTYPE.names
+        values = np.frombuffer(self._values, dtype=np.float64).reshape(-1, len(names))
+        values = values[np.asarray(order, dtype=np.intp)]
+        table = np.empty(len(values), dtype=SESSION_TABLE_DTYPE)
+        for column, name in enumerate(names):
+            table[name] = values[:, column]
+        return table
+
+
+def save_session_table(path: str | Path, table: np.ndarray) -> None:
+    with atomic_write(path, binary=True) as handle:
+        np.save(handle, table, allow_pickle=False)
+
+
+def load_session_table(path: str | Path) -> np.ndarray:
+    table = np.load(path, allow_pickle=False)
+    if table.dtype != SESSION_TABLE_DTYPE or table.ndim != 1:
+        raise ValueError(f"{path} is not a session table: dtype {table.dtype}, shape {table.shape}")
+    return table
+
+
+def table_metrics(table: np.ndarray, session_ids: Sequence[str], snos: Sequence[str | None]) -> list[SessionMetrics]:
+    """SessionMetrics of a session table's rows, given each row's id and operator.
+
+    Rows whose operator is None are left out.
+    """
+    if not len(table) == len(session_ids) == len(snos):
+        raise ValueError(f"session table has {len(table)} rows for {len(session_ids)} sessions")
+    columns = (table[name].tolist() for name in SESSION_TABLE_DTYPE.names)
+    out: list[SessionMetrics] = []
+    for session_id, sno, day, latency, jitter, retrans in zip(session_ids, snos, *columns):
+        if sno is None:
+            continue
+        out.append(
+            SessionMetrics(
+                session_id=session_id,
+                sno=sno,
+                day=date.fromordinal(day),
+                latency_p5_ms=latency,
+                jitter_p95_ms=jitter,
+                jitter_variability=jitter / latency,
+                retrans_fraction=None if math.isnan(retrans) else retrans,
+            )
+        )
+    return out
 
 
 MetricSelector = Callable[[SessionMetrics], float | None]

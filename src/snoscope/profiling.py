@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .catalog import DEFAULT_BANDS, ORBITS, OrbitBand, SnoCatalog, band_containing
 from .ingest import SpeedTestSession
@@ -114,13 +113,42 @@ def kde(samples: Sequence[float], bandwidth_ms: float | None = None, grid_points
     return KdeProfile(grid=grid, density=density, bandwidth_ms=float(bandwidth_ms), n_samples=int(xs.size))
 
 
+def find_peaks(y: np.ndarray, prominence: float) -> list[int]:
+    """Indices of the local maxima of y whose topographic prominence is >= prominence.
+
+    A maximum is a run of equal samples with a lower neighbour on each side;
+    a flat run counts once, at its middle sample (rounded down), and runs
+    touching either end of y do not count. A peak's prominence is its height
+    above the higher of its two bases, where each base is the lowest sample
+    between the peak and the nearest strictly higher sample on that side (or
+    the end of y). These are the semantics of scipy.signal.find_peaks with
+    only a prominence threshold.
+    """
+    n = y.size
+    if n < 3:
+        return []
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+    ends = np.r_[starts[1:] - 1, n - 1]
+    heights = y[starts]
+    runs = np.flatnonzero((heights[1:-1] > heights[:-2]) & (heights[1:-1] > heights[2:])) + 1
+    out = []
+    for run in runs:
+        peak = int((starts[run] + ends[run]) // 2)
+        higher = np.flatnonzero(y > y[peak])
+        left, right = higher[higher < peak], higher[higher > peak]
+        lo = left[-1] + 1 if left.size else 0
+        hi = right[0] if right.size else n
+        if y[peak] - max(y[lo:peak + 1].min(), y[peak:hi].min()) >= prominence:
+            out.append(peak)
+    return out
+
+
 def modes(profile: KdeProfile, min_prominence: float = 0.05) -> list[float]:
     """Grid locations of density peaks with prominence >= min_prominence * peak density."""
     if not 0.0 < min_prominence <= 1.0:
         raise ValueError("min_prominence must be in (0, 1]")
     floor = min_prominence * float(profile.density.max())
-    idx, _ = find_peaks(profile.density, prominence=floor)
-    return [float(profile.grid[i]) for i in idx]
+    return [float(profile.grid[i]) for i in find_peaks(profile.density, floor)]
 
 
 @dataclass

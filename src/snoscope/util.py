@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
+import secrets
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -23,7 +23,11 @@ def parse_rfc3339(text: str) -> datetime:
         raise ValueError(f"bad RFC 3339 timestamp: {text!r}") from None
     if stamp.tzinfo is None:
         raise ValueError(f"timestamp lacks a UTC offset: {text!r}")
-    return stamp.astimezone(timezone.utc)
+    try:
+        return stamp.astimezone(timezone.utc)
+    except OverflowError:
+        # e.g. 0001-01-01T00:00:00+01:00 falls before year 1 in UTC.
+        raise ValueError(f"timestamp out of range in UTC: {text!r}") from None
 
 
 def format_rfc3339(stamp: datetime) -> str:
@@ -35,17 +39,25 @@ def format_rfc3339(stamp: datetime) -> str:
 
 
 @contextmanager
-def atomic_write(path: str | Path, newline: str | None = "\n") -> Iterator[IO[str]]:
-    """Write a text file via a same-directory temp file and a final rename.
+def atomic_write(path: str | Path, newline: str | None = "\n", binary: bool = False) -> Iterator[IO]:
+    """Write a file via a same-directory temp file and a final rename.
 
     The destination is either fully written or untouched; readers never see a
-    partial file.
+    partial file. It gets the mode a plain open() would give a new file:
+    0o666 less the process umask.
+    Text files are UTF-8; binary=True yields a byte handle instead.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp_name = path.parent / f".{path.name}.{secrets.token_hex(8)}"
+    # Created exclusively with 0o666, so the kernel applies the umask.
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as handle:
+        if binary:
+            handle = os.fdopen(fd, "wb")
+        else:
+            handle = os.fdopen(fd, "w", encoding="utf-8", newline=newline)
+        with handle:
             yield handle
         os.replace(tmp_name, path)
     except BaseException:

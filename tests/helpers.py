@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import json
 from datetime import datetime, timezone
 from ipaddress import ip_address
 
-from snoscope.ingest import Hop, HopReply, SpeedTestSession, TcpSnapshot, TracerouteMeasurement
+from snoscope.ingest import Hop, HopReply, SpeedTestSession, TcpSnapshot, TracerouteMeasurement, session_to_dict
 
 
 def ts(text: str) -> datetime:
@@ -102,3 +103,19 @@ def make_traceroute(
         dst_addr=ip_address(dst_addr),
         hops=hops,
     )
+
+
+def _edited_session_line(edit) -> bytes:
+    obj = session_to_dict(make_session())
+    edit(obj)
+    return json.dumps(obj).encode("utf-8")
+
+
+# One malformed speed-test record each, as the bytes of one corpus line.
+HOSTILE_LINES = {
+    "400-digit rtt_ms": _edited_session_line(lambda o: o["snapshots"][0].update(rtt_ms=10**400)),
+    "100k nested arrays": b"[" * 100_000,
+    "2**40 client_asn": _edited_session_line(lambda o: o.update(client_asn=2**40)),
+    "timestamp before year 1 in UTC": _edited_session_line(lambda o: o.update(timestamp="0001-01-01T00:00:00+01:00")),
+    "invalid UTF-8": _edited_session_line(lambda o: o.update(session_id="s-BAD")).replace(b"s-BAD", b"s-\xff"),
+}

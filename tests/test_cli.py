@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 
+import numpy as np
 import pytest
 
+from helpers import HOSTILE_LINES, make_session
 from snoscope.cli import main
+from snoscope.ingest import parse_speedtest_stream, session_to_json
+from snoscope.metrics import SESSION_TABLE_DTYPE, session_metrics
 from snoscope.util import sha256_file
 from test_synth import small_spec_dict
 
@@ -19,6 +24,20 @@ def read_csv(path):
 
 def read_ndjson(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def with_bad_line(corpus_dir, tmp_path, bad='{"session_id": "broken"}'):
+    """A copy of the corpus with one malformed record as line 2."""
+    corrupted = tmp_path / "corrupted.ndjson"
+    lines = (corpus_dir / "speedtests.ndjson").read_bytes().splitlines()
+    lines.insert(1, bad if isinstance(bad, bytes) else bad.encode("utf-8"))
+    corrupted.write_bytes(b"\n".join(lines) + b"\n")
+    return corrupted
+
+
+def report_metrics(speedtests, dispositions, out, *extra):
+    argv = ["report", "metrics", "--input", str(speedtests), "--dispositions", str(dispositions), "--out", str(out)]
+    return main(argv + list(extra))
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +92,7 @@ class TestSynthCommand:
 class TestClassifyCommand:
     def test_outputs_and_manifest(self, corpus_dir, classify_dir):
         names = {p.name for p in classify_dir.iterdir()}
-        assert names == {"dispositions.ndjson", "summary.csv", "anomalies.ndjson", "manifest.json"}
+        assert names == {"dispositions.ndjson", "summary.csv", "anomalies.ndjson", "session_metrics.npy", "manifest.json"}
         dispositions = read_ndjson(classify_dir / "dispositions.ndjson")
         n_sessions = len((corpus_dir / "speedtests.ndjson").read_text().splitlines())
         assert len(dispositions) == n_sessions
@@ -88,6 +107,50 @@ class TestClassifyCommand:
         assert manifest["accepted"] == accepted
         for entry in manifest["files"].values():
             assert set(entry) == {"sha256", "bytes"}
+
+    def test_manifest_records_input_and_settings(self, corpus_dir, classify_dir):
+        manifest = json.loads((classify_dir / "manifest.json").read_text())
+        speedtests = corpus_dir / "speedtests.ndjson"
+        assert manifest["input"] == {"sha256": sha256_file(speedtests), "bytes": speedtests.stat().st_size}
+        assert manifest["strictness"] == "lenient"
+        assert manifest["parse_error_sample"] == []
+        assert manifest["files"]["session_metrics.npy"]["sha256"] == sha256_file(classify_dir / "session_metrics.npy")
+
+    def test_session_table_row_i_describes_disposition_line_i(self, corpus_dir, classify_dir):
+        table = np.load(classify_dir / "session_metrics.npy", allow_pickle=False)
+        assert table.dtype == SESSION_TABLE_DTYPE
+        sessions = {s.session_id: s for s in parse_speedtest_stream(corpus_dir / "speedtests.ndjson")}
+        dispositions = read_ndjson(classify_dir / "dispositions.ndjson")
+        assert len(table) == len(dispositions) == len(sessions)
+        for row, disposition in zip(table.tolist(), dispositions):
+            m = session_metrics(sessions[disposition["session_id"]])
+            retrans = float("nan") if m.retrans_fraction is None else m.retrans_fraction
+            np.testing.assert_array_equal(row, (m.day.toordinal(), m.latency_p5_ms, m.jitter_p95_ms, retrans))
+
+    def test_session_table_follows_repeated_session_ids(self, tmp_path):
+        # Input order: the GEO "dup" first. Its disposition is decided after the
+        # unknown-ASN "dup"'s, so the id sort keeps the unknown-ASN line first.
+        sessions = [
+            make_session("dup", rtts=[610.0, 600.0, 620.0], client_asn=13955),
+            make_session("dup", rtts=[31.0, 30.0, 32.0], client_asn=64512),
+            make_session("a-leo", rtts=[51.0, 50.0, 52.0], client_asn=14593),
+        ]
+        speedtests = tmp_path / "speedtests.ndjson"
+        speedtests.write_text("".join(session_to_json(s) + "\n" for s in sessions))
+        out = tmp_path / "classified"
+        assert main(["classify", "--input", str(speedtests), "--out", str(out)]) == 0
+        dispositions = read_ndjson(out / "dispositions.ndjson")
+        assert [(d["session_id"], d["reason"]) for d in dispositions] == [
+            ("a-leo", None),
+            ("dup", "unknown_asn"),
+            ("dup", None),
+        ]
+        table = np.load(out / "session_metrics.npy", allow_pickle=False)
+        assert table["latency_p5_ms"].tolist() == [session_metrics(sessions[i]).latency_p5_ms for i in (2, 1, 0)]
+        # The last line of a repeated id attributes every session with that id.
+        assert report_metrics(speedtests, out / "dispositions.ndjson", tmp_path / "report") == 0
+        boxstats = {row[0]: row for row in read_csv(tmp_path / "report" / "boxstats.csv")}
+        assert boxstats["latency:viasat"][6] == "2"
 
     def test_summary_lists_both_operators(self, classify_dir):
         rows = read_csv(classify_dir / "summary.csv")
@@ -138,6 +201,19 @@ class TestClassifyCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_LINES))
+    def test_hostile_record_is_a_parse_error(self, corpus_dir, tmp_path, name, capsys):
+        corrupted = with_bad_line(corpus_dir, tmp_path, HOSTILE_LINES[name])
+        out = tmp_path / "out"
+        assert main(["classify", "--input", str(corrupted), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parse_errors"] == 1
+        assert [line for line, _ in manifest["parse_error_sample"]] == [2]
+        strict_out = tmp_path / "strict"
+        assert main(["classify", "--input", str(corrupted), "--out", str(strict_out), "--strict-parsing"]) == 2
+        assert "error: line 2: " in capsys.readouterr().err
+        assert not strict_out.exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["classify", "--input", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
@@ -257,6 +333,53 @@ class TestReportMetrics:
         groups = {row[0] for row in rows[1:]}
         assert groups <= {"latency:starlink", "latency:viasat"}
         assert "latency:starlink" in groups
+
+    def test_input_from_another_corpus_rejected(self, spec_file, classify_dir, tmp_path, capsys):
+        other = tmp_path / "other"
+        assert main(["synth", "--spec", str(spec_file), "--out", str(other), "--seed", "99"]) == 0
+        out = tmp_path / "o"
+        assert report_metrics(other / "speedtests.ndjson", classify_dir / "dispositions.ndjson", out) == 2
+        assert "is not the corpus that classify read" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["dispositions.ndjson", "session_metrics.npy"])
+    def test_tampered_classify_output_rejected(self, corpus_dir, classify_dir, tmp_path, name, capsys):
+        copy = tmp_path / "classified"
+        shutil.copytree(classify_dir, copy)
+        data = bytearray((copy / name).read_bytes())
+        data[-2] ^= 1
+        (copy / name).write_bytes(bytes(data))
+        out = tmp_path / "o"
+        assert report_metrics(corpus_dir / "speedtests.ndjson", copy / "dispositions.ndjson", out) == 2
+        assert f"{name} does not match its digest" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kept", [("dispositions.ndjson",), ("dispositions.ndjson", "manifest.json")])
+    def test_dispositions_without_table_rejected(self, corpus_dir, classify_dir, tmp_path, kept, capsys):
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        for name in kept:
+            shutil.copy(classify_dir / name, alone / name)
+        out = tmp_path / "o"
+        assert report_metrics(corpus_dir / "speedtests.ndjson", alone / "dispositions.ndjson", out) == 2
+        assert "not found" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_strict_refuses_a_classify_run_that_skipped_records(self, corpus_dir, tmp_path, capsys):
+        corrupted = with_bad_line(corpus_dir, tmp_path)
+        classified = tmp_path / "classified"
+        assert main(["classify", "--input", str(corrupted), "--out", str(classified), "--strict-parsing"]) == 2
+        strict_error = capsys.readouterr().err
+        assert main(["classify", "--input", str(corrupted), "--out", str(classified)]) == 0
+        capsys.readouterr()
+        line_no, reason = json.loads((classified / "manifest.json").read_text())["parse_error_sample"][0]
+        assert strict_error == f"error: line {line_no}: {reason}\n"
+        dispositions = classified / "dispositions.ndjson"
+        out = tmp_path / "o"
+        assert report_metrics(corrupted, dispositions, out, "--strict-parsing") == 2
+        assert capsys.readouterr().err == strict_error
+        assert not out.exists()
+        assert report_metrics(corrupted, dispositions, out) == 0
 
     def test_requires_dispositions(self, corpus_dir, tmp_path, capsys):
         code = main(

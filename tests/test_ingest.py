@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from ipaddress import ip_address
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import make_session, make_traceroute
+from helpers import HOSTILE_LINES, make_session, make_traceroute
 from snoscope.ingest import (
     RecordError,
     TableError,
@@ -77,6 +80,7 @@ class TestSessionValidation:
             (lambda o: o.update(client_asn=0), "client_asn"),
             (lambda o: o.update(client_asn=True), "client_asn"),
             (lambda o: o.update(timestamp="2021-06-01 08:30"), "timestamp"),
+            (lambda o: o.update(client_asn=2**40), "client_asn"),
         ],
     )
     def test_top_level_rejections(self, mutate, fragment):
@@ -161,6 +165,93 @@ class TestSpeedtestStream:
         with pytest.raises(ValueError):
             list(parse_speedtest_stream([], strictness="forgiving"))
 
+    def test_digest_covers_the_file_as_streamed(self, tmp_path):
+        path = tmp_path / "sessions.ndjson"
+        lines = [session_to_json(make_session(session_id=f"s-{i}-\u00e9")) for i in range(300)]
+        path.write_bytes(("\r\n".join(lines) + "\r\n\n").encode("utf-8"))
+        digest = hashlib.sha256()
+        items = list(parse_speedtest_stream(path, digest=digest))
+        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert items == list(parse_speedtest_stream(path))
+        assert len(items) == 300
+
+    def test_digest_needs_a_path(self):
+        with pytest.raises(ValueError, match="path"):
+            list(parse_speedtest_stream([session_to_json(make_session())], digest=hashlib.sha256()))
+
+
+class TestHostileLines:
+    """Each line is one malformed record: lenient parsing skips it, strict parsing stops at it."""
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_LINES))
+    def test_lenient_yields_a_record_error(self, name):
+        good = session_to_json(make_session())
+        items = list(parse_speedtest_stream([good, HOSTILE_LINES[name], good]))
+        assert [type(i).__name__ for i in items] == ["SpeedTestSession", "RecordError", "SpeedTestSession"]
+        assert items[1].line_no == 2
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_LINES))
+    def test_strict_raises_a_record_error(self, name):
+        with pytest.raises(RecordError):
+            list(parse_speedtest_stream([HOSTILE_LINES[name]], strictness="strict"))
+
+    def test_largest_asn_accepted(self):
+        assert session_from_dict(valid_session_dict(client_asn=2**32 - 1)).client_asn == 2**32 - 1
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, -1, 2**32, 10**400, -(10**400)])
+    | st.floats()
+    | st.text(max_size=20)
+    | st.sampled_from(["100.1.2.3", "2001:db8::1", "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"])
+    | st.datetimes().map(lambda d: d.isoformat() + "+23:59")
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=12), children, max_size=4),
+    max_leaves=12,
+)
+SNAPSHOT_KEYS = ["t_offset_ms", "rtt_ms", "rtt_var_ms", "bytes_sent", "bytes_retrans", "delivery_rate_bps"]
+
+
+@st.composite
+def mutated_session_lines(draw) -> str:
+    """A valid session line with some fields, top-level or in a snapshot, replaced by arbitrary JSON."""
+    obj = valid_session_dict()
+    for key in draw(st.lists(st.sampled_from(sorted(obj)), unique=True, max_size=3)):
+        obj[key] = draw(JSON_VALUES)
+    snapshots = obj["snapshots"]
+    if isinstance(snapshots, list) and snapshots and isinstance(snapshots[-1], dict):
+        for key in draw(st.lists(st.sampled_from(SNAPSHOT_KEYS), unique=True, max_size=3)):
+            snapshots[-1][key] = draw(JSON_VALUES)
+    line = json.dumps(obj)
+    return line[: draw(st.integers(min_value=0, max_value=len(line)))] if draw(st.booleans()) else line
+
+
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestAnyLineIsARecordOrARecordError:
+    @PROPERTY_SETTINGS
+    @given(line=mutated_session_lines() | st.text() | st.binary())
+    def test_speedtest_lines(self, line):
+        (item,) = list(parse_speedtest_stream([line])) or [None]
+        assert item is None or type(item).__name__ in ("SpeedTestSession", "RecordError")
+        try:
+            list(parse_speedtest_stream([line], strictness="strict"))
+        except RecordError:
+            pass
+
+    @PROPERTY_SETTINGS
+    @given(line=st.text() | st.binary())
+    def test_traceroute_and_aspath_lines(self, line):
+        for parse in (parse_traceroute_stream, parse_aspath_stream):
+            for item in parse([line]):
+                assert type(item).__name__ in ("TracerouteMeasurement", "AsPathRecord", "RecordError")
+
 
 class TestTracerouteRecords:
     def test_round_trip_with_unresponsive_hop(self):
@@ -206,6 +297,11 @@ class TestAsPathRecords:
         with pytest.raises(ValueError, match="non-numeric"):
             aspath_from_line("2023-01-01T00:00:00Z 3356 AS174")
 
+    def test_asn_above_32_bits_rejected(self):
+        assert aspath_from_line(f"2023-01-01T00:00:00Z {2**32 - 1} 14593").as_path == [2**32 - 1, 14593]
+        with pytest.raises(ValueError, match="ASN must be in"):
+            aspath_from_line(f"2023-01-01T00:00:00Z {2**32} 14593")
+
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
             aspath_from_line("2023-01-01T00:00:00Z")
@@ -224,6 +320,15 @@ class TestAsPathRecords:
     def test_stream_reports_bad_lines(self):
         items = list(parse_aspath_stream(["2023-01-01T00:00:00Z 3356 x"]))
         assert isinstance(items[0], RecordError)
+
+    def test_undecodable_line_in_a_file_is_one_bad_record(self, tmp_path):
+        path = tmp_path / "paths.txt"
+        path.write_bytes(b"2023-01-01T00:00:00Z 3356 14593\n\xff 174\n2023-01-01T00:00:00Z 174 800\n")
+        items = list(parse_aspath_stream(path))
+        assert [type(i).__name__ for i in items] == ["AsPathRecord", "RecordError", "AsPathRecord"]
+        assert items[1] == RecordError(2, "invalid UTF-8 at byte 0")
+        with pytest.raises(RecordError, match="line 2: invalid UTF-8"):
+            list(parse_aspath_stream(path, strictness="strict"))
 
 
 class TestCatalogTable:

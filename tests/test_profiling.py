@@ -11,6 +11,7 @@ import math
 import random
 import statistics
 
+import numpy as np
 import pytest
 
 from helpers import make_session
@@ -22,6 +23,7 @@ from snoscope.profiling import (
     InsufficientSamplesError,
     access_latency,
     classify_orbit,
+    find_peaks,
     flag_asn_anomalies,
     kde,
     modes,
@@ -260,6 +262,37 @@ class TestModes:
         strict = modes(profile, min_prominence=0.5)
         assert len(lenient) == 2
         assert len(strict) == 1
+
+    def test_find_peaks_matches_scipy_on_kde_fixtures(self):
+        scipy_signal = pytest.importorskip("scipy.signal")
+        rng = random.Random(21)
+        minor_bump = [rng.gauss(700.0, 30.0) for _ in range(500)] + [rng.gauss(280.0, 15.0) for _ in range(12)]
+        rng = random.Random(8)
+        unimodal = [rng.gauss(700.0, 40.0) for _ in range(300)]
+        profiles = [
+            kde(self._bimodal(), bandwidth_ms=30.0),
+            kde(unimodal),
+            kde(minor_bump, bandwidth_ms=25.0),
+            kde(minor_bump, bandwidth_ms=2.0),  # undersmoothed: many small peaks
+        ]
+        for profile in profiles:
+            for fraction in (1e-6, 0.01, 0.05, 0.5, 1.0):
+                floor = fraction * float(profile.density.max())
+                expected, _ = scipy_signal.find_peaks(profile.density, prominence=floor)
+                assert find_peaks(profile.density, floor) == expected.tolist()
+
+    def test_find_peaks_matches_scipy_on_plateaus(self):
+        scipy_signal = pytest.importorskip("scipy.signal")
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            n = int(rng.integers(0, 60))
+            if rng.random() < 0.5:
+                density = rng.integers(0, 4, size=n).astype(float)  # many equal neighbours
+            else:
+                density = np.round(np.abs(np.cumsum(rng.normal(size=n))), 1)  # random walk, flat tops
+            for prominence in (0.0, 0.1, 1.0, 2.5):
+                expected, _ = scipy_signal.find_peaks(density, prominence=prominence)
+                assert find_peaks(density, prominence) == expected.tolist(), (density.tolist(), prominence)
 
     def test_bad_prominence_rejected(self):
         profile = kde([1.0, 2.0, 3.0], bandwidth_ms=1.0)

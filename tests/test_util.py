@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import stat
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -28,6 +30,11 @@ class TestParseRfc3339:
     def test_naive_timestamp_rejected(self):
         with pytest.raises(ValueError):
             parse_rfc3339("2021-03-01T12:30:45")
+
+    @pytest.mark.parametrize("text", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"])
+    def test_out_of_range_in_utc_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_rfc3339(text)
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
@@ -78,6 +85,24 @@ class TestAtomicWrite:
         with atomic_write(target) as handle:
             handle.write("new\n")
         assert target.read_text() == "new\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_mode_follows_umask(self, tmp_path, umask, binary):
+        target = tmp_path / "out"
+        previous = os.umask(umask)
+        try:
+            with atomic_write(target, binary=binary) as handle:
+                handle.write(b"x" if binary else "x")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+    def test_binary_handle_writes_bytes(self, tmp_path):
+        target = tmp_path / "out.bin"
+        with atomic_write(target, binary=True) as handle:
+            handle.write(b"\x00\r\n\xff")
+        assert target.read_bytes() == b"\x00\r\n\xff"
 
 
 class TestSha256File:
