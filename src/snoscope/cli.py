@@ -221,10 +221,14 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]])
         writer.writerows(rows)
 
 
+# json.dumps builds a new encoder on every call that passes separators.
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _write_ndjson(path: Path, objs: Iterable[dict[str, Any]]) -> None:
     with atomic_write(path) as handle:
         for obj in objs:
-            handle.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            handle.write(_encode_compact(obj) + "\n")
 
 
 def _write_manifest(out_dir: Path, files: Sequence[Path], extra: dict[str, Any]) -> Path:
@@ -344,23 +348,21 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # report: metrics
 
 
-def _load_dispositions(path: Path) -> tuple[list[str], dict[str, tuple[str | None, str]]]:
-    """Session ids in file order, and each id's (sno, stage); the last line wins for a repeated id."""
-    ids: list[str] = []
-    by_id: dict[str, tuple[str | None, str]] = {}
+def _load_dispositions(path: Path) -> list[tuple[str, str | None, str]]:
+    """Each line's (session_id, sno, stage), in file order."""
+    rows: list[tuple[str, str | None, str]] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
             if not line.strip():
                 continue
             obj = json.loads(line)
-            ids.append(obj["session_id"])
-            by_id[obj["session_id"]] = (obj.get("sno"), obj["stage"])
-    return ids, by_id
+            rows.append((obj["session_id"], obj.get("sno"), obj["stage"]))
+    return rows
 
 
 def _load_classify_run(
     dispositions: Path, speedtests: Path, strict: bool
-) -> tuple[list[str], dict[str, tuple[str | None, str]], np.ndarray]:
+) -> tuple[list[tuple[str, str | None, str]], np.ndarray]:
     """The dispositions and session table of the classify run that wrote `dispositions`.
 
     The run's manifest must show that it read `speedtests`, and both files
@@ -386,8 +388,7 @@ def _load_classify_run(
     if strict and manifest.get("parse_errors"):
         line_no, reason = manifest["parse_error_sample"][0]
         raise RecordError(line_no, reason)
-    ids, by_id = _load_dispositions(dispositions)
-    return ids, by_id, metrics.load_session_table(table_path)
+    return _load_dispositions(dispositions), metrics.load_session_table(table_path)
 
 
 def _round_cdf(points: list[tuple[float, float]], digits: int = 4) -> list[tuple[float, float]]:
@@ -403,11 +404,10 @@ def cmd_report_metrics(args: argparse.Namespace) -> int:
     if opts.dispositions is None:
         raise ValueError("report metrics needs --dispositions (from a classify run)")
     catalog = _load_catalog(opts)
-    ids, by_id, table = _load_classify_run(opts.dispositions, speedtests_path, opts.strict_parsing)
-    snos = []
-    for session_id in ids:
-        sno, stage = by_id[session_id]
-        snos.append(None if stage == filtering.STAGE_REJECTED else sno)
+    dispositions, table = _load_classify_run(opts.dispositions, speedtests_path, opts.strict_parsing)
+    # Row i of the table is the session on line i of dispositions.ndjson.
+    ids = [session_id for session_id, _, _ in dispositions]
+    snos = [None if stage == filtering.STAGE_REJECTED else sno for _, sno, stage in dispositions]
     rows = metrics.table_metrics(table, ids, snos)
 
     plans = (

@@ -14,7 +14,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime
-from ipaddress import IPv4Address, IPv4Network, ip_network
+from ipaddress import IPv4Address, IPv4Network
 from typing import Iterable, Mapping, Sequence
 
 from .catalog import DEFAULT_BANDS, ORBITS, ROLE_SUBSCRIBER, OrbitBand, SnoCatalog, SnoEntry
@@ -90,7 +90,7 @@ def group_prefix24(sessions: Iterable[SessionRef]) -> tuple[list[PrefixGroup], l
         if not isinstance(ref.client_ip, IPv4Address):
             ipv6.append(ref)
             continue
-        prefix = ip_network(f"{ref.client_ip}/24", strict=False)
+        prefix = IPv4Network((int(ref.client_ip) & 0xFFFFFF00, 24))
         buckets.setdefault((ref.sno, prefix), []).append(ref)
     groups = [
         PrefixGroup(sno=sno, prefix=prefix, sessions=refs)

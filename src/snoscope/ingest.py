@@ -14,11 +14,15 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from datetime import datetime
 from ipaddress import IPv4Address, IPv6Address, ip_address
+from itertools import accumulate, islice, repeat
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO, Union
+from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO, Union
+
+import numpy as np
 
 from .catalog import ORBITS, SnoCatalog, SnoEntry
 from .util import format_rfc3339, parse_rfc3339
@@ -35,6 +39,18 @@ IPAddress = Union[IPv4Address, IPv6Address]
 
 # ASNs are unsigned 32-bit numbers (RFC 6793).
 MAX_ASN = 2**32 - 1
+
+# Byte counters are bounded by int64, so that a parse chunk's counter
+# columns hold every accepted value exactly.
+MAX_BYTE_COUNT = 2**63 - 1
+
+# A speed-test session's snapshot fields, in SpeedTestSession's column order.
+SNAPSHOT_FIELDS = ("t_offset_ms", "rtt_ms", "rtt_var_ms", "bytes_sent", "bytes_retrans", "delivery_rate_bps")
+
+# Speed-test lines parsed together: their snapshot fields are checked once
+# per chunk, and a chunk bounds the memory a parse holds (about 1.6 MB for
+# lines of 12 snapshots). 512 lines parse no faster, and hold twice that.
+CHUNK_LINES = 256
 
 Source = Union[str, Path, TextIO, Iterable[Union[str, bytes]]]
 
@@ -62,27 +78,25 @@ class TableError(ValueError):
 
 
 @dataclass(slots=True)
-class TcpSnapshot:
-    """One in-flight TCP poll: cumulative counters and instantaneous RTT state."""
-
-    t_offset_ms: float
-    rtt_ms: float
-    rtt_var_ms: float
-    bytes_sent: int
-    bytes_retrans: int
-    delivery_rate_bps: float | None = None
-
-
-@dataclass(slots=True)
 class SpeedTestSession:
-    """One download measurement: client identity plus its snapshot series."""
+    """One download measurement: client identity plus its snapshot series.
+
+    The series is held as one list per snapshot field (SNAPSHOT_FIELDS), all
+    of one length: snapshot i is t_offset_ms[i], rtt_ms[i], and so on. Byte
+    counters are cumulative; a snapshot without a delivery rate has None.
+    """
 
     session_id: str
     timestamp: datetime
     client_ip: IPAddress
     client_asn: int
     direction: str
-    snapshots: list[TcpSnapshot]
+    t_offset_ms: list[float]
+    rtt_ms: list[float]
+    rtt_var_ms: list[float]
+    bytes_sent: list[int]
+    bytes_retrans: list[int]
+    delivery_rate_bps: list[float | None]
 
 
 @dataclass(slots=True)
@@ -230,78 +244,224 @@ def _as_timestamp(value: Any, name: str = "timestamp") -> datetime:
 # speed-test sessions
 
 
-def _snapshot_from_obj(obj: Any, index: int) -> TcpSnapshot:
+def _snapshot_from_obj(obj: Any, index: int) -> tuple[float, float, float, int, int, float | None]:
     if not isinstance(obj, dict):
         raise ValueError(f"snapshot {index} must be an object")
     where = f"snapshot {index}"
-    snap = TcpSnapshot(
-        t_offset_ms=_as_number(_require(obj, "t_offset_ms"), f"{where} t_offset_ms", minimum=0.0),
-        rtt_ms=_as_number(_require(obj, "rtt_ms"), f"{where} rtt_ms", minimum=0.0, strict_min=True),
-        rtt_var_ms=_as_number(_require(obj, "rtt_var_ms"), f"{where} rtt_var_ms", minimum=0.0),
-        bytes_sent=_as_int(_require(obj, "bytes_sent"), f"{where} bytes_sent", minimum=0),
-        bytes_retrans=_as_int(_require(obj, "bytes_retrans"), f"{where} bytes_retrans", minimum=0),
-        delivery_rate_bps=(
-            _as_number(obj["delivery_rate_bps"], f"{where} delivery_rate_bps", minimum=0.0)
-            if obj.get("delivery_rate_bps") is not None
-            else None
-        ),
+    t_offset_ms = _as_number(_require(obj, "t_offset_ms"), f"{where} t_offset_ms", minimum=0.0)
+    rtt_ms = _as_number(_require(obj, "rtt_ms"), f"{where} rtt_ms", minimum=0.0, strict_min=True)
+    rtt_var_ms = _as_number(_require(obj, "rtt_var_ms"), f"{where} rtt_var_ms", minimum=0.0)
+    bytes_sent = _as_int(_require(obj, "bytes_sent"), f"{where} bytes_sent", minimum=0, maximum=MAX_BYTE_COUNT)
+    bytes_retrans = _as_int(_require(obj, "bytes_retrans"), f"{where} bytes_retrans", minimum=0, maximum=MAX_BYTE_COUNT)
+    delivery_rate_bps = (
+        _as_number(obj["delivery_rate_bps"], f"{where} delivery_rate_bps", minimum=0.0)
+        if obj.get("delivery_rate_bps") is not None
+        else None
     )
-    if snap.bytes_retrans > snap.bytes_sent:
+    if bytes_retrans > bytes_sent:
         raise ValueError(f"{where} bytes_retrans exceeds bytes_sent")
-    return snap
+    return t_offset_ms, rtt_ms, rtt_var_ms, bytes_sent, bytes_retrans, delivery_rate_bps
 
 
-def session_from_dict(obj: Any) -> SpeedTestSession:
-    if not isinstance(obj, dict):
-        raise ValueError("record must be a JSON object")
+def _direction(obj: dict[str, Any]) -> str:
     direction = _as_str(_require(obj, "direction"), "direction")
     if direction != DIRECTION_DOWNLOAD:
         raise ValueError(f"unsupported direction {direction!r}")
-    raw_snaps = _require(obj, "snapshots")
-    if not isinstance(raw_snaps, list) or not raw_snaps:
-        raise ValueError("snapshots must be a non-empty array")
-    snapshots = [_snapshot_from_obj(snap, i) for i, snap in enumerate(raw_snaps)]
-    for prev, cur in zip(snapshots, snapshots[1:]):
-        if cur.t_offset_ms <= prev.t_offset_ms:
-            raise ValueError("snapshot t_offset_ms must be strictly increasing")
-        if cur.bytes_sent < prev.bytes_sent:
-            raise ValueError("bytes_sent must be non-decreasing")
-        if cur.bytes_retrans < prev.bytes_retrans:
-            raise ValueError("bytes_retrans must be non-decreasing")
-    return SpeedTestSession(
-        session_id=_as_str(_require(obj, "session_id"), "session_id"),
-        timestamp=_as_timestamp(_require(obj, "timestamp")),
-        client_ip=_as_ip(_require(obj, "client_ip"), "client_ip"),
-        client_asn=_as_int(_require(obj, "client_asn"), "client_asn", minimum=1, maximum=MAX_ASN),
-        direction=direction,
-        snapshots=snapshots,
+    return direction
+
+
+def _session_identity(obj: dict[str, Any]) -> tuple[str, datetime, IPAddress, int]:
+    """A session's session_id, timestamp, client_ip and client_asn."""
+    return (
+        _as_str(_require(obj, "session_id"), "session_id"),
+        _as_timestamp(_require(obj, "timestamp")),
+        _as_ip(_require(obj, "client_ip"), "client_ip"),
+        _as_int(_require(obj, "client_asn"), "client_asn", minimum=1, maximum=MAX_ASN),
     )
 
 
-def _parse_ndjson_stream(
-    source: Source,
-    builder: Callable[[Any], Any],
-    strictness: str,
-    digest: Any = None,
-) -> Iterator[Any]:
-    _check_strictness(strictness)
-    for line_no, raw in _iter_lines(source, digest):
+def session_from_dict(obj: Any) -> SpeedTestSession:
+    """Build one session, checking its fields one at a time.
+
+    parse_speedtest_stream checks a chunk of records at once; this is the
+    reference those checks must agree with, and the source of the reason a
+    rejected record is given.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("record must be a JSON object")
+    direction = _direction(obj)
+    raw_snaps = _require(obj, "snapshots")
+    if not isinstance(raw_snaps, list) or not raw_snaps:
+        raise ValueError("snapshots must be a non-empty array")
+    columns = [list(c) for c in zip(*(_snapshot_from_obj(snap, i) for i, snap in enumerate(raw_snaps)))]
+    offsets, _, _, sent, retrans, _ = columns
+    for i in range(1, len(offsets)):
+        if offsets[i] <= offsets[i - 1]:
+            raise ValueError("snapshot t_offset_ms must be strictly increasing")
+        if sent[i] < sent[i - 1]:
+            raise ValueError("bytes_sent must be non-decreasing")
+        if retrans[i] < retrans[i - 1]:
+            raise ValueError("bytes_retrans must be non-decreasing")
+    return SpeedTestSession(*_session_identity(obj), direction, *columns)
+
+
+def _loads(line: str) -> Any:
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
+
+
+_required_snapshot_fields = operator.itemgetter(*SNAPSHOT_FIELDS[:5])
+
+
+class _NotColumnar(Exception):
+    """A chunk column holds a value of a type its field does not take."""
+
+
+def _float_column(values: list[Any]) -> tuple[np.ndarray, list[float]]:
+    """A column of numbers as float64, and as the floats session_from_dict gives."""
+    kinds = set(map(type, values))
+    # bool, str and None are not numbers here, though NumPy would convert them.
+    if not kinds <= {int, float}:
+        raise _NotColumnar
+    array = np.array(values, dtype=np.float64)
+    return array, values if int not in kinds else array.tolist()
+
+
+def _int_column(values: list[Any]) -> np.ndarray:
+    if not set(map(type, values)) <= {int}:
+        raise _NotColumnar
+    return np.array(values, dtype=np.int64)
+
+
+def _check_columns(columns: Sequence[list[Any]], counts: Sequence[int]) -> tuple[list[bool], list[list[Any]]]:
+    """_check_snapshots for columns that convert; raises _NotColumnar or OverflowError otherwise."""
+    (t_offset, offsets), (rtt, rtts), (rtt_var, rtt_vars) = map(_float_column, columns[:3])
+    sent, retrans, rates = columns[3:]
+    sent_a, retrans_a = _int_column(sent), _int_column(retrans)
+    kinds = set(map(type, rates))
+    if not kinds <= {int, float, type(None)}:
+        raise _NotColumnar
+    rate = np.array(rates, dtype=np.float64)  # a missing rate is NaN
+    missing = np.array([r is None for r in rates], dtype=bool) if type(None) in kinds else np.zeros(len(rate), dtype=bool)
+
+    finite = np.isfinite(t_offset) & np.isfinite(rtt) & np.isfinite(rtt_var) & (missing | np.isfinite(rate))
+    bad = ~finite | (t_offset < 0) | (rtt <= 0) | (rtt_var < 0) | (rate < 0)
+    bad |= (sent_a < 0) | (retrans_a < 0) | (retrans_a > sent_a)
+    sizes = np.asarray(counts, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    continues = np.ones(len(bad), dtype=bool)  # a snapshot after the first of its session
+    continues[starts] = False
+    bad[1:] |= continues[1:] & (
+        (t_offset[1:] <= t_offset[:-1]) | (sent_a[1:] < sent_a[:-1]) | (retrans_a[1:] < retrans_a[:-1])
+    )
+    verdicts = ~np.logical_or.reduceat(bad, starts)
+
+    if int in kinds:
+        rates = [None if given is None else value for given, value in zip(rates, rate.tolist())]
+    return verdicts.tolist(), [offsets, rtts, rtt_vars, sent, retrans, rates]
+
+
+def _check_snapshots(columns: Sequence[list[Any]], counts: Sequence[int]) -> tuple[list[bool], list[list[Any]]]:
+    """Run every snapshot check of session_from_dict over many sessions at once.
+
+    columns hold the SNAPSHOT_FIELDS of len(counts) sessions end to end,
+    counts[i] snapshots for session i. Returns whether each session passed,
+    and the columns holding the values session_from_dict gives for them
+    (floats for the float fields). When a column cannot be checked at once
+    (a value of the wrong type, or a number too large for its dtype), each
+    session is checked on its own, and fails if its own columns cannot be.
+    """
+    try:
+        return _check_columns(columns, counts)
+    except (_NotColumnar, OverflowError):
+        if len(counts) == 1:
+            return [False], list(columns)
+    verdicts: list[bool] = []
+    out: list[list[Any]] = [[] for _ in columns]
+    stop = 0
+    for count in counts:
+        start, stop = stop, stop + count
+        (passed,), values = _check_snapshots([column[start:stop] for column in columns], [count])
+        verdicts.append(passed)
+        for column, part in zip(out, values):
+            column.extend(part)
+    return verdicts, out
+
+
+def _chunk_record(obj: Any, columns: Sequence[list[Any]], counts: list[int]) -> tuple[str, datetime, IPAddress, int] | None:
+    """A record's checked identity, its snapshot fields appended to a chunk's columns.
+
+    Returns None, with nothing appended, for a record whose identity fails
+    its checks or whose snapshots are not a non-empty array of objects with
+    every required field.
+    """
+    snaps = obj.get("snapshots") if isinstance(obj, dict) else None
+    if not isinstance(snaps, list) or not snaps:
+        return None
+    try:
+        _direction(obj)
+        identity = _session_identity(obj)
+        fields = list(zip(*map(_required_snapshot_fields, snaps)))
+    except (ValueError, KeyError, TypeError):
+        return None
+    fields.append(map(dict.get, snaps, repeat("delivery_rate_bps")))
+    for column, values in zip(columns, fields):
+        column += values
+    counts.append(len(snaps))
+    return identity
+
+
+def _parse_chunk(lines: Sequence[tuple[int, str | bytes]], strictness: str) -> Iterator[SpeedTestSession | RecordError]:
+    """Parse a chunk of speed-test lines.
+
+    Each line is decoded, and its snapshot fields are moved into the chunk's
+    columns, which are checked together. Sessions are then built one at a
+    time, as they are consumed. A record that fails a check is parsed again
+    by session_from_dict, which gives the reason it is rejected.
+    """
+    records: list[tuple[int, str | bytes, tuple[str, datetime, IPAddress, int] | None]] = []
+    columns: list[list[Any]] = [[] for _ in SNAPSHOT_FIELDS]
+    counts: list[int] = []
+    for line_no, raw in lines:
         try:
             line = _decode(raw)
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"invalid JSON: {exc.msg}") from None
-            except RecursionError:
-                raise ValueError("invalid JSON: nested too deeply") from None
-            yield builder(obj)
+            identity = _chunk_record(_loads(line), columns, counts)
+        except ValueError:
+            identity = None
+        records.append((line_no, raw, identity))
+    verdicts, columns = _check_snapshots(columns, counts)
+    offsets, rtts, rtt_vars, sent, retrans, rates = columns
+    checked = zip(verdicts, accumulate(counts))
+    stop = 0
+    for line_no, raw, identity in records:
+        if identity is not None:
+            passed, end = next(checked)
+            start, stop = stop, end
+            if passed:
+                yield SpeedTestSession(
+                    *identity,
+                    DIRECTION_DOWNLOAD,
+                    offsets[start:stop],
+                    rtts[start:stop],
+                    rtt_vars[start:stop],
+                    sent[start:stop],
+                    retrans[start:stop],
+                    rates[start:stop],
+                )
+                continue
+        try:
+            item: SpeedTestSession | RecordError = session_from_dict(_loads(_decode(raw)))
         except ValueError as exc:
-            err = RecordError(line_no, str(exc))
+            item = RecordError(line_no, str(exc))
             if strictness == STRICTNESS_STRICT:
-                raise err from None
-            yield err
+                raise item from None
+        yield item
 
 
 def parse_speedtest_stream(
@@ -309,33 +469,31 @@ def parse_speedtest_stream(
 ) -> Iterator[SpeedTestSession | RecordError]:
     """Stream speed-test sessions from NDJSON; see module docstring for policy.
 
-    A digest (a hashlib object) receives the bytes of a path source as they
-    are read, so the corpus is hashed in the same pass that parses it.
+    Lines are read CHUNK_LINES at a time, so a strict parse reads up to one
+    chunk past the malformed line it raises at. A digest (a hashlib object)
+    receives the bytes of a path source as they are read, so the corpus is
+    hashed in the same pass that parses it.
     """
-    return _parse_ndjson_stream(source, session_from_dict, strictness, digest)
-
-
-def snapshot_to_dict(snap: TcpSnapshot) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "t_offset_ms": snap.t_offset_ms,
-        "rtt_ms": snap.rtt_ms,
-        "rtt_var_ms": snap.rtt_var_ms,
-        "bytes_sent": snap.bytes_sent,
-        "bytes_retrans": snap.bytes_retrans,
-    }
-    if snap.delivery_rate_bps is not None:
-        out["delivery_rate_bps"] = snap.delivery_rate_bps
-    return out
+    _check_strictness(strictness)
+    lines = _iter_lines(source, digest)
+    for chunk in iter(lambda: list(islice(lines, CHUNK_LINES)), []):
+        yield from _parse_chunk(chunk, strictness)
 
 
 def session_to_dict(session: SpeedTestSession) -> dict[str, Any]:
+    snapshots = []
+    for values in zip(*(getattr(session, name) for name in SNAPSHOT_FIELDS)):
+        snap = dict(zip(SNAPSHOT_FIELDS, values))
+        if snap["delivery_rate_bps"] is None:
+            del snap["delivery_rate_bps"]
+        snapshots.append(snap)
     return {
         "session_id": session.session_id,
         "timestamp": format_rfc3339(session.timestamp),
         "client_ip": str(session.client_ip),
         "client_asn": session.client_asn,
         "direction": session.direction,
-        "snapshots": [snapshot_to_dict(s) for s in session.snapshots],
+        "snapshots": snapshots,
     }
 
 
@@ -391,7 +549,18 @@ def traceroute_from_dict(obj: Any) -> TracerouteMeasurement:
 
 
 def parse_traceroute_stream(source: Source, strictness: str = STRICTNESS_LENIENT) -> Iterator[TracerouteMeasurement | RecordError]:
-    return _parse_ndjson_stream(source, traceroute_from_dict, strictness)
+    _check_strictness(strictness)
+    for line_no, raw in _iter_lines(source):
+        try:
+            line = _decode(raw)
+            if not line.strip():
+                continue
+            yield traceroute_from_dict(_loads(line))
+        except ValueError as exc:
+            err = RecordError(line_no, str(exc))
+            if strictness == STRICTNESS_STRICT:
+                raise err from None
+            yield err
 
 
 def traceroute_to_dict(m: TracerouteMeasurement) -> dict[str, Any]:

@@ -55,12 +55,10 @@ class SessionMetrics:
 
 
 def session_metrics(session: SpeedTestSession, sno: str | None = None) -> SessionMetrics:
-    rtts = [snap.rtt_ms for snap in session.snapshots]
-    variances = [snap.rtt_var_ms for snap in session.snapshots]
-    latency_p5 = percentile(rtts, 0.05)
-    jitter_p95 = percentile(variances, JITTER_QUANTILE)
-    final = session.snapshots[-1]
-    retrans = final.bytes_retrans / final.bytes_sent if final.bytes_sent > 0 else None
+    latency_p5 = percentile(session.rtt_ms, 0.05)
+    jitter_p95 = percentile(session.rtt_var_ms, JITTER_QUANTILE)
+    sent, retrans = session.bytes_sent[-1], session.bytes_retrans[-1]
+    retrans_fraction = retrans / sent if sent > 0 else None
     return SessionMetrics(
         session_id=session.session_id,
         sno=sno,
@@ -68,7 +66,7 @@ def session_metrics(session: SpeedTestSession, sno: str | None = None) -> Sessio
         latency_p5_ms=latency_p5,
         jitter_p95_ms=jitter_p95,
         jitter_variability=jitter_p95 / latency_p5,
-        retrans_fraction=retrans,
+        retrans_fraction=retrans_fraction,
     )
 
 

@@ -58,7 +58,7 @@ def percentile(samples: Sequence[float], q: float) -> float:
 
 def access_latency(session: SpeedTestSession) -> float:
     """The session's access latency: 5th percentile of its snapshot RTTs."""
-    return percentile([snap.rtt_ms for snap in session.snapshots], ACCESS_LATENCY_QUANTILE)
+    return percentile(session.rtt_ms, ACCESS_LATENCY_QUANTILE)
 
 
 @dataclass

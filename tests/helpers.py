@@ -6,7 +6,7 @@ import json
 from datetime import datetime, timezone
 from ipaddress import ip_address
 
-from snoscope.ingest import Hop, HopReply, SpeedTestSession, TcpSnapshot, TracerouteMeasurement, session_to_dict
+from snoscope.ingest import Hop, HopReply, SpeedTestSession, TracerouteMeasurement, session_to_dict
 
 
 def ts(text: str) -> datetime:
@@ -16,24 +16,6 @@ def ts(text: str) -> datetime:
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
     return stamp
-
-
-def make_snapshot(
-    t_offset_ms: float,
-    rtt_ms: float,
-    rtt_var_ms: float = 5.0,
-    bytes_sent: int = 1_000_000,
-    bytes_retrans: int = 0,
-    delivery_rate_bps: float | None = None,
-) -> TcpSnapshot:
-    return TcpSnapshot(
-        t_offset_ms=t_offset_ms,
-        rtt_ms=rtt_ms,
-        rtt_var_ms=rtt_var_ms,
-        bytes_sent=bytes_sent,
-        bytes_retrans=bytes_retrans,
-        delivery_rate_bps=delivery_rate_bps,
-    )
 
 
 def make_session(
@@ -51,26 +33,18 @@ def make_session(
     if len(rtt_vars) != len(rtts):
         raise ValueError("rtts and rtt_vars must have equal length")
     n = len(rtts)
-    snaps = []
-    for i, (rtt, var) in enumerate(zip(rtts, rtt_vars)):
-        frac = (i + 1) / n
-        snaps.append(
-            TcpSnapshot(
-                t_offset_ms=(i + 1) * 800.0,
-                rtt_ms=rtt,
-                rtt_var_ms=var,
-                bytes_sent=int(bytes_sent_final * frac),
-                bytes_retrans=int(bytes_retrans_final * frac),
-                delivery_rate_bps=None,
-            )
-        )
     return SpeedTestSession(
         session_id=session_id,
         timestamp=ts(timestamp),
         client_ip=ip_address(client_ip),
         client_asn=client_asn,
         direction="download",
-        snapshots=snaps,
+        t_offset_ms=[(i + 1) * 800.0 for i in range(n)],
+        rtt_ms=list(rtts),
+        rtt_var_ms=list(rtt_vars),
+        bytes_sent=[int(bytes_sent_final * ((i + 1) / n)) for i in range(n)],
+        bytes_retrans=[int(bytes_retrans_final * ((i + 1) / n)) for i in range(n)],
+        delivery_rate_bps=[None] * n,
     )
 
 
@@ -117,5 +91,6 @@ HOSTILE_LINES = {
     "100k nested arrays": b"[" * 100_000,
     "2**40 client_asn": _edited_session_line(lambda o: o.update(client_asn=2**40)),
     "timestamp before year 1 in UTC": _edited_session_line(lambda o: o.update(timestamp="0001-01-01T00:00:00+01:00")),
+    "2**63 bytes_sent": _edited_session_line(lambda o: o["snapshots"][-1].update(bytes_sent=2**63)),
     "invalid UTF-8": _edited_session_line(lambda o: o.update(session_id="s-BAD")).replace(b"s-BAD", b"s-\xff"),
 }

@@ -77,6 +77,16 @@ class TestGroupPrefix24:
     def test_empty_input(self):
         assert group_prefix24([]) == ([], [])
 
+    def test_prefixes_match_ip_network(self):
+        rng = random.Random(24)
+        ips = ["0.0.0.0", "0.0.0.255", "255.255.255.255", "100.1.2.3"]
+        ips += [str(ip_address(rng.getrandbits(32))) for _ in range(500)]
+        groups, _ = group_prefix24([ref(f"s{i}", ip, 600.0) for i, ip in enumerate(ips)])
+        assert sum(len(g.sessions) for g in groups) == len(ips)
+        for group in groups:
+            for r in group.sessions:
+                assert group.prefix == ip_network(f"{r.client_ip}/24", strict=False)
+
 
 class TestStrictFilter:
     def _group(self, latencies):
@@ -251,7 +261,7 @@ class TestPipelineAgainstOracle:
 
     def _oracle(self, sessions, min_tests=10, floor=DEFAULT_GLOBAL_FLOOR_MS):
         """Stage per session, derived straight from the stage definitions."""
-        latency = {s.session_id: s.snapshots[0].rtt_ms for s in sessions}  # flat RTTs
+        latency = {s.session_id: s.rtt_ms[0] for s in sessions}  # flat RTTs
         by_prefix: dict[str, list] = {}
         v6 = []
         for s in sessions:

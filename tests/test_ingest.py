@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from ipaddress import ip_address
 
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 from helpers import HOSTILE_LINES, make_session, make_traceroute
 from snoscope.ingest import (
+    CHUNK_LINES,
     RecordError,
+    SpeedTestSession,
     TableError,
     aspath_from_line,
     aspath_to_line,
@@ -63,7 +66,7 @@ class TestSessionRoundTrip:
 
     def test_ipv4_and_missing_delivery_rate(self):
         original = make_session()
-        assert original.snapshots[0].delivery_rate_bps is None
+        assert original.delivery_rate_bps[0] is None
         parsed = session_from_dict(session_to_dict(original))
         assert parsed == original
         assert parsed.client_ip == ip_address("100.1.2.3")
@@ -203,7 +206,7 @@ JSON_SCALARS = (
     st.none()
     | st.booleans()
     | st.integers()
-    | st.sampled_from([0, -1, 2**32, 10**400, -(10**400)])
+    | st.sampled_from([0, -1, 2**32, 2**63 - 1, 2**63, -(2**63) - 1, 10**400, -(10**400)])
     | st.floats()
     | st.text(max_size=20)
     | st.sampled_from(["100.1.2.3", "2001:db8::1", "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"])
@@ -218,17 +221,59 @@ SNAPSHOT_KEYS = ["t_offset_ms", "rtt_ms", "rtt_var_ms", "bytes_sent", "bytes_ret
 
 
 @st.composite
-def mutated_session_lines(draw) -> str:
-    """A valid session line with some fields, top-level or in a snapshot, replaced by arbitrary JSON."""
+def mutated_session_lines(draw, truncate: bool = True) -> str:
+    """A valid session line with some fields, top-level or in a snapshot, replaced by arbitrary JSON.
+
+    With truncate, the line may also be cut short.
+    """
     obj = valid_session_dict()
     for key in draw(st.lists(st.sampled_from(sorted(obj)), unique=True, max_size=3)):
         obj[key] = draw(JSON_VALUES)
     snapshots = obj["snapshots"]
-    if isinstance(snapshots, list) and snapshots and isinstance(snapshots[-1], dict):
-        for key in draw(st.lists(st.sampled_from(SNAPSHOT_KEYS), unique=True, max_size=3)):
-            snapshots[-1][key] = draw(JSON_VALUES)
+    if isinstance(snapshots, list) and snapshots:
+        snapshot = snapshots[draw(st.integers(min_value=0, max_value=len(snapshots) - 1))]
+        if isinstance(snapshot, dict):
+            for key in draw(st.lists(st.sampled_from(SNAPSHOT_KEYS), unique=True, max_size=3)):
+                snapshot[key] = draw(JSON_VALUES)
     line = json.dumps(obj)
-    return line[: draw(st.integers(min_value=0, max_value=len(line)))] if draw(st.booleans()) else line
+    if truncate and draw(st.booleans()):
+        return line[: draw(st.integers(min_value=0, max_value=len(line)))]
+    return line
+
+
+def near(value: int | float):
+    """Numbers at the edges of the snapshot checks, seen from one valid value."""
+    edges = [value, float(value), int(value), value + 1, value - 1, -value, 0, 0.0, -0.0, math.inf, math.nan]
+    return st.sampled_from(edges)
+
+
+@st.composite
+def mutated_snapshot_lines(draw) -> str:
+    """A valid session line with a few snapshot fields set near a valid value, or to a JSON scalar.
+
+    A field's new value is near its own value, the same field's value in a
+    neighbouring snapshot, or any snapshot value of the session: equal, one
+    past, negated or of the other numeric type, which are the edges of the
+    type, minimum and ordering checks. Every snapshot starts with
+    bytes_retrans equal to bytes_sent, the edge of that check.
+    """
+    session = make_session(bytes_retrans_final=10_000_000)
+    obj, valid = session_to_dict(session), session_to_dict(session)["snapshots"]
+    numbers = [v for snap in valid for v in snap.values()]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(valid) - 1))
+        key = draw(st.sampled_from(SNAPSHOT_KEYS))
+        source = draw(st.sampled_from(["own", "neighbour", "any", "scalar"]))
+        if source == "own":
+            value = draw(near(valid[i].get(key, 0)))
+        elif source == "neighbour":
+            value = draw(near(valid[i - 1 if i else 1].get(key, 0)))
+        elif source == "any":
+            value = draw(near(draw(st.sampled_from(numbers))))
+        else:
+            value = draw(JSON_SCALARS)
+        obj["snapshots"][i][key] = value
+    return json.dumps(obj)
 
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -251,6 +296,57 @@ class TestAnyLineIsARecordOrARecordError:
         for parse in (parse_traceroute_stream, parse_aspath_stream):
             for item in parse([line]):
                 assert type(item).__name__ in ("TracerouteMeasurement", "AsPathRecord", "RecordError")
+
+
+# Valid one-snapshot sessions filling a corpus of more than two chunks.
+FILLER_LINES = [
+    session_to_json(make_session(session_id=f"fill-{i}", rtts=[50.0 + i % 7], client_asn=1 + i))
+    for i in range(2 * CHUNK_LINES + 100)
+]
+
+
+def scalar_chain(line: str, line_no: int) -> SpeedTestSession | RecordError:
+    """What a corpus line parses to, checked one field at a time."""
+    try:
+        return session_from_dict(json.loads(line))
+    except ValueError as exc:
+        return RecordError(line_no, str(exc))
+
+
+# repr tells an int from a float, and 0.0 from -0.0.
+FILLER_REPRS = [repr(scalar_chain(line, 0)) for line in FILLER_LINES]
+
+
+class TestChunksAgreeWithTheScalarChain:
+    """A chunk's column checks accept, reject and convert exactly as session_from_dict does."""
+
+    @settings(PROPERTY_SETTINGS, max_examples=1000)
+    @given(line=mutated_snapshot_lines())
+    def test_mutated_line_alone_and_among_valid_lines(self, line):
+        assert list(map(repr, parse_speedtest_stream([line]))) == [repr(scalar_chain(line, 1))]
+        corpus = [FILLER_LINES[0], line, FILLER_LINES[1]]
+        expected = [FILLER_REPRS[0], repr(scalar_chain(line, 2)), FILLER_REPRS[1]]
+        assert list(map(repr, parse_speedtest_stream(corpus))) == expected
+
+    @settings(PROPERTY_SETTINGS, max_examples=40)
+    @given(line=mutated_snapshot_lines() | mutated_session_lines(truncate=False))
+    def test_mutated_line_first_middle_and_last_in_a_corpus(self, line):
+        corpus, expected = list(FILLER_LINES), list(FILLER_REPRS)
+        for index in (len(corpus), CHUNK_LINES + CHUNK_LINES // 2, 0):  # last, mid-chunk, first
+            corpus.insert(index, line)
+            expected.insert(index, None)
+        expected = [repr(scalar_chain(line, i + 1)) if e is None else e for i, e in enumerate(expected)]
+        assert list(map(repr, parse_speedtest_stream(corpus))) == expected
+
+    def test_strict_yields_earlier_sessions_then_raises_mid_chunk(self):
+        bad_at = CHUNK_LINES + CHUNK_LINES // 2
+        corpus = FILLER_LINES[:bad_at] + ['{"session_id": "broken"'] + FILLER_LINES[bad_at:]
+        stream = parse_speedtest_stream(corpus, strictness="strict")
+        sessions = [next(stream) for _ in range(bad_at)]
+        assert [s.session_id for s in sessions] == [f"fill-{i}" for i in range(bad_at)]
+        with pytest.raises(RecordError) as exc_info:
+            next(stream)
+        assert exc_info.value.line_no == bad_at + 1
 
 
 class TestTracerouteRecords:

@@ -187,7 +187,7 @@ class TestGenCorpus:
         assert len(sessions) == sum(p.n_sessions for p in spec.profiles)
         assert len({s.session_id for s in sessions}) == len(sessions)
         for s in sessions[:10]:
-            assert len(s.snapshots) == spec.snapshots_per_session
+            assert len(s.rtt_ms) == spec.snapshots_per_session
 
     def test_labels_align_with_sessions(self, corpus):
         spec, paths = corpus
