@@ -337,15 +337,26 @@ def _int_column(values: list[Any]) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-def _check_columns(columns: Sequence[list[Any]], counts: Sequence[int]) -> tuple[list[bool], list[list[Any]]]:
-    """_check_snapshots for columns that convert; raises _NotColumnar or OverflowError otherwise."""
-    (t_offset, offsets), (rtt, rtts), (rtt_var, rtt_vars) = map(_float_column, columns[:3])
+def _check_snapshots(columns: Sequence[list[Any]], counts: Sequence[int]) -> tuple[list[bool], list[list[Any]]]:
+    """Run every snapshot check of session_from_dict over many sessions at once.
+
+    columns hold the SNAPSHOT_FIELDS of len(counts) sessions end to end,
+    counts[i] snapshots for session i. Returns whether each session passed,
+    and the columns holding the values session_from_dict gives for them
+    (floats for the float fields). When a column cannot be checked at once
+    (a value of the wrong type, or a number too large for its dtype), every
+    session fails here, and session_from_dict accepts or rejects each one.
+    """
     sent, retrans, rates = columns[3:]
-    sent_a, retrans_a = _int_column(sent), _int_column(retrans)
-    kinds = set(map(type, rates))
-    if not kinds <= {int, float, type(None)}:
-        raise _NotColumnar
-    rate = np.array(rates, dtype=np.float64)  # a missing rate is NaN
+    try:
+        (t_offset, offsets), (rtt, rtts), (rtt_var, rtt_vars) = map(_float_column, columns[:3])
+        sent_a, retrans_a = _int_column(sent), _int_column(retrans)
+        kinds = set(map(type, rates))
+        if not kinds <= {int, float, type(None)}:
+            raise _NotColumnar
+        rate = np.array(rates, dtype=np.float64)  # a missing rate is NaN
+    except (_NotColumnar, OverflowError):
+        return [False] * len(counts), list(columns)
     missing = np.array([r is None for r in rates], dtype=bool) if type(None) in kinds else np.zeros(len(rate), dtype=bool)
 
     finite = np.isfinite(t_offset) & np.isfinite(rtt) & np.isfinite(rtt_var) & (missing | np.isfinite(rate))
@@ -363,33 +374,6 @@ def _check_columns(columns: Sequence[list[Any]], counts: Sequence[int]) -> tuple
     if int in kinds:
         rates = [None if given is None else value for given, value in zip(rates, rate.tolist())]
     return verdicts.tolist(), [offsets, rtts, rtt_vars, sent, retrans, rates]
-
-
-def _check_snapshots(columns: Sequence[list[Any]], counts: Sequence[int]) -> tuple[list[bool], list[list[Any]]]:
-    """Run every snapshot check of session_from_dict over many sessions at once.
-
-    columns hold the SNAPSHOT_FIELDS of len(counts) sessions end to end,
-    counts[i] snapshots for session i. Returns whether each session passed,
-    and the columns holding the values session_from_dict gives for them
-    (floats for the float fields). When a column cannot be checked at once
-    (a value of the wrong type, or a number too large for its dtype), each
-    session is checked on its own, and fails if its own columns cannot be.
-    """
-    try:
-        return _check_columns(columns, counts)
-    except (_NotColumnar, OverflowError):
-        if len(counts) == 1:
-            return [False], list(columns)
-    verdicts: list[bool] = []
-    out: list[list[Any]] = [[] for _ in columns]
-    stop = 0
-    for count in counts:
-        start, stop = stop, stop + count
-        (passed,), values = _check_snapshots([column[start:stop] for column in columns], [count])
-        verdicts.append(passed)
-        for column, part in zip(out, values):
-            column.extend(part)
-    return verdicts, out
 
 
 def _chunk_record(obj: Any, columns: Sequence[list[Any]], counts: list[int]) -> tuple[str, datetime, IPAddress, int] | None:

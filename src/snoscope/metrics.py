@@ -273,13 +273,18 @@ def corpus_metrics(
     corpus: ClassifiedCorpus,
     accepted_only: bool = True,
 ) -> list[SessionMetrics]:
-    """Metrics for sessions, attributed via the pipeline's dispositions."""
-    by_id: dict[str, tuple[str | None, str]] = {
-        d.session_id: (d.sno, d.stage) for d in corpus.dispositions
+    """Metrics for sessions, attributed via the pipeline's dispositions.
+
+    sessions are run_pipeline's input, in its order: session i is attributed
+    by the disposition whose index is i, so sessions that share an id keep
+    their own outcomes.
+    """
+    by_index: dict[int, tuple[str | None, str]] = {
+        d.index: (d.sno, d.stage) for d in corpus.dispositions
     }
     out: list[SessionMetrics] = []
-    for session in sessions:
-        sno, stage = by_id.get(session.session_id, (None, STAGE_REJECTED))
+    for index, session in enumerate(sessions):
+        sno, stage = by_index.get(index, (None, STAGE_REJECTED))
         if accepted_only and stage == STAGE_REJECTED:
             continue
         out.append(session_metrics(session, sno=sno))

@@ -280,3 +280,18 @@ class TestCorpusMetrics:
         assert {m.session_id for m in rows} == {s.session_id for s in sessions}
         by_id = {m.session_id: m for m in rows}
         assert by_id["unk"].sno is None
+
+    def test_repeated_session_ids_keep_their_own_outcomes(self):
+        # The GEO "dup" is decided after the unknown-ASN "dup"; each keeps its own.
+        sessions = self._corpus() + [
+            make_session(session_id="dup", client_asn=13955, client_ip="100.1.3.1", rtts=[610.0, 600.0]),
+            make_session(session_id="dup", client_asn=64500, client_ip="80.0.0.2", rtts=[30.0, 31.0]),
+        ]
+        corpus = run_pipeline(sessions, catalog_fixture())
+        rows = corpus_metrics(sessions, corpus, accepted_only=False)
+        assert [(m.sno, m.latency_p5_ms) for m in rows if m.session_id == "dup"] == [
+            ("viasat", session_metrics(sessions[-2]).latency_p5_ms),
+            (None, session_metrics(sessions[-1]).latency_p5_ms),
+        ]
+        accepted = corpus_metrics(sessions, corpus)
+        assert [m.sno for m in accepted if m.session_id == "dup"] == ["viasat"]
