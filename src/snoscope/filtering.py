@@ -32,8 +32,6 @@ STAGE_STRICT = "accepted_strict"
 STAGE_RELAXED = "accepted_relaxed"
 STAGE_REJECTED = "rejected"
 
-ACCEPTED_STAGES = (STAGE_ASN, STAGE_STRICT, STAGE_RELAXED)
-
 REASON_UNKNOWN_ASN = "unknown_asn"
 REASON_EXCLUDED_ASN = "excluded_asn"
 REASON_BELOW_THRESHOLD = "below_threshold"
@@ -54,16 +52,6 @@ class SessionRef:
     access_latency_ms: float
     timestamp: datetime
     index: int = field(default=-1, compare=False)
-
-    @classmethod
-    def from_session(cls, session: SpeedTestSession, sno: str) -> "SessionRef":
-        return cls(
-            session_id=session.session_id,
-            sno=sno,
-            client_ip=session.client_ip,
-            access_latency_ms=access_latency(session),
-            timestamp=session.timestamp,
-        )
 
 
 @dataclass

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from ipaddress import IPv4Address, IPv6Address, ip_address
 from itertools import accumulate, islice, repeat
@@ -51,6 +51,11 @@ SNAPSHOT_FIELDS = ("t_offset_ms", "rtt_ms", "rtt_var_ms", "bytes_sent", "bytes_r
 # per chunk, and a chunk bounds the memory a parse holds (about 1.6 MB for
 # lines of 12 snapshots). 512 lines parse no faster, and hold twice that.
 CHUNK_LINES = 256
+
+# Distinct strings a ScalarMemo keeps per kind. The traceroute and AS-path
+# corpora repeat a few hundred addresses and timestamps; a stream of more
+# distinct ones parses the rest as if there were no memo.
+MEMO_CAP = 4096
 
 Source = Union[str, Path, TextIO, Iterable[Union[str, bytes]]]
 
@@ -106,10 +111,6 @@ class HopReply:
     ip: IPAddress | None
     rtt_ms: float | None
 
-    @property
-    def responsive(self) -> bool:
-        return self.ip is not None
-
 
 @dataclass(slots=True)
 class Hop:
@@ -142,6 +143,21 @@ class PopLocation:
     country_code: str
     lat: float
     lon: float
+
+
+@dataclass(slots=True)
+class ScalarMemo:
+    """Addresses and timestamps one stream has parsed, keyed by their exact text.
+
+    A traceroute or AS-path stream parser makes one and passes it to each
+    record's parse, so a string that recurs is parsed once per stream. Only
+    values that parsed are kept, so a bad value is checked, and rejected with
+    its own error, wherever it occurs. Each dict stops growing at MEMO_CAP
+    entries. The values are immutable, so records may share them.
+    """
+
+    ips: dict[str, IPAddress] = field(default_factory=dict)
+    stamps: dict[str, datetime] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +244,27 @@ def _as_number(value: Any, name: str, minimum: float | None = None, strict_min: 
     return out
 
 
-def _as_ip(value: Any, name: str) -> IPAddress:
+def _as_ip(value: Any, name: str, memo: dict[str, IPAddress] | None = None) -> IPAddress:
     text = _as_str(value, name)
+    if memo is not None and text in memo:
+        return memo[text]
     try:
-        return ip_address(text)
+        ip = ip_address(text)
     except ValueError:
         raise ValueError(f"{name} is not an IP address: {text!r}") from None
+    if memo is not None and len(memo) < MEMO_CAP:
+        memo[text] = ip
+    return ip
 
 
-def _as_timestamp(value: Any, name: str = "timestamp") -> datetime:
-    return parse_rfc3339(_as_str(value, name))
+def _as_timestamp(value: Any, name: str = "timestamp", memo: dict[str, datetime] | None = None) -> datetime:
+    text = _as_str(value, name)
+    if memo is not None and text in memo:
+        return memo[text]
+    stamp = parse_rfc3339(text)
+    if memo is not None and len(memo) < MEMO_CAP:
+        memo[text] = stamp
+    return stamp
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +516,7 @@ def session_to_json(session: SpeedTestSession) -> str:
 # traceroutes
 
 
-def _reply_from_obj(obj: Any, where: str) -> HopReply:
+def _reply_from_obj(obj: Any, where: str, ips: dict[str, IPAddress] | None) -> HopReply:
     if not isinstance(obj, dict):
         raise ValueError(f"{where} reply must be an object")
     raw_ip = _require(obj, "ip")
@@ -498,12 +525,14 @@ def _reply_from_obj(obj: Any, where: str) -> HopReply:
             raise ValueError(f"{where} unresponsive reply cannot carry rtt_ms")
         return HopReply(ip=None, rtt_ms=None)
     return HopReply(
-        ip=_as_ip(raw_ip, f"{where} ip"),
+        ip=_as_ip(raw_ip, f"{where} ip", ips),
         rtt_ms=_as_number(_require(obj, "rtt_ms"), f"{where} rtt_ms", minimum=0.0),
     )
 
 
-def traceroute_from_dict(obj: Any) -> TracerouteMeasurement:
+def traceroute_from_dict(obj: Any, memo: ScalarMemo | None = None) -> TracerouteMeasurement:
+    """Build one traceroute; a stream parser passes its memo (see ScalarMemo)."""
+    ips, stamps = (None, None) if memo is None else (memo.ips, memo.stamps)
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     raw_hops = _require(obj, "hops")
@@ -517,29 +546,30 @@ def traceroute_from_dict(obj: Any) -> TracerouteMeasurement:
         raw_replies = _require(raw_hop, "replies")
         if not isinstance(raw_replies, list) or not raw_replies:
             raise ValueError(f"hop {i} replies must be a non-empty array")
-        replies = [_reply_from_obj(r, f"hop {i}") for r in raw_replies]
+        replies = [_reply_from_obj(r, f"hop {i}", ips) for r in raw_replies]
         hops.append(Hop(hop_no=hop_no, replies=replies))
     for prev, cur in zip(hops, hops[1:]):
         if cur.hop_no <= prev.hop_no:
             raise ValueError("hop_no must be strictly increasing")
     return TracerouteMeasurement(
         probe_id=_as_int(_require(obj, "probe_id"), "probe_id", minimum=0),
-        timestamp=_as_timestamp(_require(obj, "timestamp")),
-        src_addr=_as_ip(_require(obj, "src_addr"), "src_addr"),
+        timestamp=_as_timestamp(_require(obj, "timestamp"), memo=stamps),
+        src_addr=_as_ip(_require(obj, "src_addr"), "src_addr", ips),
         dst_name=_as_str(_require(obj, "dst_name"), "dst_name"),
-        dst_addr=_as_ip(_require(obj, "dst_addr"), "dst_addr"),
+        dst_addr=_as_ip(_require(obj, "dst_addr"), "dst_addr", ips),
         hops=hops,
     )
 
 
 def parse_traceroute_stream(source: Source, strictness: str = STRICTNESS_LENIENT) -> Iterator[TracerouteMeasurement | RecordError]:
     _check_strictness(strictness)
+    memo = ScalarMemo()
     for line_no, raw in _iter_lines(source):
         try:
             line = _decode(raw)
             if not line.strip():
                 continue
-            yield traceroute_from_dict(_loads(line))
+            yield traceroute_from_dict(_loads(line), memo)
         except ValueError as exc:
             err = RecordError(line_no, str(exc))
             if strictness == STRICTNESS_STRICT:
@@ -575,11 +605,12 @@ def traceroute_to_json(m: TracerouteMeasurement) -> str:
 # AS paths
 
 
-def aspath_from_line(line: str) -> AsPathRecord:
+def aspath_from_line(line: str, memo: ScalarMemo | None = None) -> AsPathRecord:
+    """Parse one AS-path line; a stream parser passes its memo (see ScalarMemo)."""
     tokens = line.split()
     if len(tokens) < 2:
         raise ValueError("expected '<timestamp> <asn> [<asn> ...]'")
-    observed_at = parse_rfc3339(tokens[0])
+    observed_at = _as_timestamp(tokens[0], memo=None if memo is None else memo.stamps)
     path: list[int] = []
     for tok in tokens[1:]:
         if not tok.isdigit():
@@ -595,12 +626,13 @@ def aspath_from_line(line: str) -> AsPathRecord:
 
 def parse_aspath_stream(source: Source, strictness: str = STRICTNESS_LENIENT) -> Iterator[AsPathRecord | RecordError]:
     _check_strictness(strictness)
+    memo = ScalarMemo()
     for line_no, raw in _iter_lines(source):
         try:
             stripped = _decode(raw).strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            yield aspath_from_line(stripped)
+            yield aspath_from_line(stripped, memo)
         except ValueError as exc:
             err = RecordError(line_no, str(exc))
             if strictness == STRICTNESS_STRICT:

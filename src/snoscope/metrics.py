@@ -34,8 +34,6 @@ GROUPING_ORBIT = "orbit"
 GROUPING_SNO = "sno"
 GROUPING_PEP = "pep_class"
 
-GROUPINGS = (GROUPING_ORBIT, GROUPING_SNO, GROUPING_PEP)
-
 
 @dataclass(slots=True)
 class SessionMetrics:

@@ -143,10 +143,14 @@ def find_peaks(y: np.ndarray, prominence: float) -> list[int]:
     return out
 
 
-def modes(profile: KdeProfile, min_prominence: float = 0.05) -> list[float]:
-    """Grid locations of density peaks with prominence >= min_prominence * peak density."""
+def _check_prominence(min_prominence: float) -> None:
     if not 0.0 < min_prominence <= 1.0:
         raise ValueError("min_prominence must be in (0, 1]")
+
+
+def modes(profile: KdeProfile, min_prominence: float = 0.05) -> list[float]:
+    """Grid locations of density peaks with prominence >= min_prominence * peak density."""
+    _check_prominence(min_prominence)
     floor = min_prominence * float(profile.density.max())
     return [float(profile.grid[i]) for i in find_peaks(profile.density, floor)]
 
@@ -175,6 +179,31 @@ def _verdict_modes(latencies: Sequence[float], min_prominence: float) -> list[fl
     return modes(kde(latencies), min_prominence=min_prominence)
 
 
+def _orbit_verdict(
+    latencies: Sequence[float],
+    bands: Mapping[str, OrbitBand] | None,
+    dominance: float,
+    terrestrial_ms: float,
+    min_samples: int,
+) -> OrbitVerdict:
+    """classify_orbit's verdict with modes_ms left empty: the KDE is computed by the caller, if read."""
+    if len(latencies) < min_samples:
+        raise InsufficientSamplesError(f"need >= {min_samples} samples, got {len(latencies)}")
+    table = DEFAULT_BANDS if bands is None else bands
+    median = percentile(latencies, 0.5)
+    n = len(latencies)
+    if median < terrestrial_ms:
+        below = sum(1 for x in latencies if x < terrestrial_ms)
+        return OrbitVerdict(VERDICT_TERRESTRIAL, below / n, median, [], n)
+    fractions = {
+        orbit: sum(1 for x in latencies if band.contains(x)) / n
+        for orbit, band in table.items()
+    }
+    best_orbit = max(fractions, key=lambda o: (fractions[o], -ORBITS.index(o)))
+    orbit = best_orbit if fractions[best_orbit] >= dominance else VERDICT_MIXED
+    return OrbitVerdict(orbit, fractions[best_orbit], median, [], n)
+
+
 def classify_orbit(
     latencies: Sequence[float],
     bands: Mapping[str, OrbitBand] | None = None,
@@ -191,23 +220,9 @@ def classify_orbit(
     band holding >= dominance of the samples wins; with no dominant band the
     population is mixed.
     """
-    if len(latencies) < min_samples:
-        raise InsufficientSamplesError(f"need >= {min_samples} samples, got {len(latencies)}")
-    table = DEFAULT_BANDS if bands is None else bands
-    median = percentile(latencies, 0.5)
-    mode_list = _verdict_modes(latencies, min_prominence)
-    n = len(latencies)
-    if median < terrestrial_ms:
-        below = sum(1 for x in latencies if x < terrestrial_ms)
-        return OrbitVerdict(VERDICT_TERRESTRIAL, below / n, median, mode_list, n)
-    fractions = {
-        orbit: sum(1 for x in latencies if band.contains(x)) / n
-        for orbit, band in table.items()
-    }
-    best_orbit = max(fractions, key=lambda o: (fractions[o], -ORBITS.index(o)))
-    if fractions[best_orbit] >= dominance:
-        return OrbitVerdict(best_orbit, fractions[best_orbit], median, mode_list, n)
-    return OrbitVerdict(VERDICT_MIXED, fractions[best_orbit], median, mode_list, n)
+    verdict = _orbit_verdict(latencies, bands, dominance, terrestrial_ms, min_samples)
+    verdict.modes_ms = _verdict_modes(latencies, min_prominence)
+    return verdict
 
 
 @dataclass
@@ -254,8 +269,11 @@ def flag_asn_anomalies(
 
     ASNs not in the catalog or with fewer than min_samples sessions are
     skipped. Excluded ASNs are checked too: confirming that an exclusion
-    still looks terrestrial is as useful as catching a new anomaly.
+    still looks terrestrial is as useful as catching a new anomaly. Each
+    anomaly carries classify_orbit's verdict, modes included; the KDE runs
+    only where they are read, for a mixed verdict or an anomaly.
     """
+    _check_prominence(min_prominence)  # before any verdict, whether or not its modes are computed
     out: list[AsnAnomaly] = []
     for asn in sorted(per_asn_latencies):
         hit = catalog.lookup(asn)
@@ -265,14 +283,11 @@ def flag_asn_anomalies(
         latencies = per_asn_latencies[asn]
         if len(latencies) < min_samples:
             continue
-        verdict = classify_orbit(
-            latencies,
-            bands=bands,
-            dominance=dominance,
-            terrestrial_ms=terrestrial_ms,
-            min_samples=min_samples,
-            min_prominence=min_prominence,
-        )
+        verdict = _orbit_verdict(latencies, bands, dominance, terrestrial_ms, min_samples)
+        # Only a mixed verdict's check reads modes.
+        if verdict.orbit != VERDICT_MIXED and verdict_satisfies(verdict, entry.orbits, bands):
+            continue
+        verdict.modes_ms = _verdict_modes(latencies, min_prominence)
         if not verdict_satisfies(verdict, entry.orbits, bands):
             out.append(AsnAnomaly(asn, entry.name, entry.orbits, verdict))
     return out

@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import HOSTILE_LINES, make_session, make_traceroute
+from snoscope import ingest
 from snoscope.ingest import (
     CHUNK_LINES,
+    MEMO_CAP,
     RecordError,
     SpeedTestSession,
     TableError,
@@ -425,6 +427,102 @@ class TestAsPathRecords:
         assert items[1] == RecordError(2, "invalid UTF-8 at byte 0")
         with pytest.raises(RecordError, match="line 2: invalid UTF-8"):
             list(parse_aspath_stream(path, strictness="strict"))
+
+
+def traceroute_chain(line: str, line_no: int) -> str:
+    """repr of what a traceroute line parses to on its own, with no memo."""
+    try:
+        return repr(traceroute_from_dict(json.loads(line)))
+    except ValueError as exc:
+        return repr(RecordError(line_no, str(exc)))
+
+
+def aspath_chain(line: str, line_no: int) -> str:
+    try:
+        return repr(aspath_from_line(line))
+    except ValueError as exc:
+        return repr(RecordError(line_no, str(exc)))
+
+
+# Few distinct values, so that a stream repeats them; some are malformed.
+ADDRESSES = ["100.64.0.1", "192.168.1.1", "2001:db8::1", "100.64.0.256", "1.2.3", " 100.64.0.1", ""]
+STAMPS = ["2022-05-03T00:00:00Z", "2022-05-03T01:00:00+01:00", "2022-05-03T00:00:00", "2022-13-03T00:00:00Z"]
+
+
+@st.composite
+def traceroute_lines(draw) -> str:
+    """A valid traceroute line whose addresses and timestamp come from small pools, or any JSON scalar."""
+    def pooled(pool):
+        # mostly from the pool, so that values recur within a stream
+        return draw(st.sampled_from(pool) if draw(st.integers(0, 4)) else JSON_SCALARS)
+
+    obj = traceroute_to_dict(make_traceroute())
+    for reply in (r for hop in obj["hops"] for r in hop["replies"] if "rtt_ms" in r):
+        reply["ip"] = pooled(ADDRESSES)
+    obj["src_addr"], obj["dst_addr"], obj["timestamp"] = pooled(ADDRESSES), pooled(ADDRESSES), pooled(STAMPS)
+    return json.dumps(obj)
+
+
+class TestStreamMemo:
+    """A stream's memo of parsed addresses and timestamps changes no record and no error."""
+
+    @settings(PROPERTY_SETTINGS, max_examples=200)
+    @given(lines=st.lists(traceroute_lines(), min_size=1, max_size=8))
+    def test_traceroute_stream_equals_records_parsed_alone(self, lines):
+        expected = [traceroute_chain(line, i) for i, line in enumerate(lines, start=1)]
+        assert list(map(repr, parse_traceroute_stream(lines))) == expected
+
+    def test_bad_reply_address_after_a_good_one_keeps_its_error(self):
+        def line(ip):
+            obj = traceroute_to_dict(make_traceroute())
+            obj["hops"][1]["replies"][0]["ip"] = ip
+            return json.dumps(obj)
+
+        lines = [line("100.64.0.1"), line("100.64.0.256"), line(["100.64.0.1"]), line("100.64.0.1"), line("100.64.0.256")]
+        items = list(parse_traceroute_stream(lines))
+        assert items[1] == RecordError(2, "hop 1 ip is not an IP address: '100.64.0.256'")
+        assert items[2] == RecordError(3, "hop 1 ip must be a non-empty string")
+        assert items[4] == RecordError(5, "hop 1 ip is not an IP address: '100.64.0.256'")
+        assert list(map(repr, items)) == [traceroute_chain(x, i) for i, x in enumerate(lines, start=1)]
+        with pytest.raises(RecordError, match="line 2: hop 1 ip is not an IP address"):
+            list(parse_traceroute_stream(lines, strictness="strict"))
+
+    @settings(PROPERTY_SETTINGS, max_examples=200)
+    @given(
+        lines=st.lists(
+            st.builds(
+                lambda stamp, path: " ".join([stamp, *map(str, path)]),
+                st.sampled_from(STAMPS + ["2023-01-01T00:00:00Z"] * 4),
+                st.lists(st.sampled_from([174, 3356, 3356, 14593, 0, 2**32]), min_size=1, max_size=4),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_aspath_stream_equals_lines_parsed_alone(self, lines):
+        expected = [aspath_chain(line, i) for i, line in enumerate(lines, start=1)]
+        assert list(map(repr, parse_aspath_stream(lines))) == expected
+
+    def test_memo_stops_at_its_cap(self, monkeypatch):
+        made = []
+
+        class Recorded(ingest.ScalarMemo):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(ingest, "ScalarMemo", Recorded)
+        lines = []
+        for i in range(MEMO_CAP + 10):  # distinct src and dst addresses and timestamps on every line
+            obj = traceroute_to_dict(make_traceroute())
+            obj["src_addr"], obj["dst_addr"] = f"10.{i >> 8}.{i & 255}.1", f"11.{i >> 8}.{i & 255}.1"
+            obj["timestamp"] = f"2022-05-03T00:00:00.{i:06d}Z"
+            lines.append(json.dumps(obj))
+        items = list(parse_traceroute_stream(lines))
+        (memo,) = made
+        assert len(memo.ips) == MEMO_CAP and len(memo.stamps) == MEMO_CAP
+        assert [item.src_addr for item in items[-3:]] == [ip_address(f"10.16.{i}.1") for i in (7, 8, 9)]
+        assert all(repr(item) == traceroute_chain(line, 0) for item, line in zip(items, lines))
 
 
 class TestCatalogTable:

@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 
 from helpers import make_session
+from snoscope import profiling
 from snoscope.catalog import SnoCatalog, SnoEntry, make_bands
 from snoscope.profiling import (
     VERDICT_MIXED,
     VERDICT_TERRESTRIAL,
+    AsnAnomaly,
     DegenerateSampleError,
     InsufficientSamplesError,
     access_latency,
@@ -454,3 +456,59 @@ class TestFlagAsnAnomalies:
             {13955: [56.0] * 20, 12684: [700.0] * 20},
         )
         assert [a.asn for a in anomalies] == [12684, 13955]
+
+    def test_equals_classify_orbit_on_every_asn_modes_included(self):
+        """Skipping the KDE for a satisfied single-orbit verdict changes no anomaly."""
+        catalog = SnoCatalog(
+            [
+                SnoEntry("leo", frozenset({1, 2}), frozenset({"LEO"})),
+                SnoEntry("meo", frozenset({3}), frozenset({"MEO"})),
+                SnoEntry("geo", frozenset({4, 5}), frozenset({"GEO"})),
+                SnoEntry("hybrid", frozenset({6, 7}), frozenset({"MEO", "GEO"})),
+                SnoEntry("leo-geo", frozenset({8}), frozenset({"LEO", "GEO"})),
+            ]
+        )
+        centres = {"ground": 8.0, "LEO": 55.0, "MEO": 280.0, "GEO": 650.0}
+        bands = make_bands(220.0, 480.0)
+        for seed in range(20):
+            rng = random.Random(seed)
+            per_asn = {}
+            for asn in range(1, 10):  # AS9 is not cataloged
+                # one to three clusters: single-orbit, mixed and terrestrial populations
+                picked = rng.sample(sorted(centres), rng.randint(1, 3))
+                n = rng.choice([5, 12, 60])
+                per_asn[asn] = [
+                    abs(rng.gauss(centres[rng.choice(picked)], 6.0)) + 1.0 for _ in range(n)
+                ]
+            for kwargs in ({}, {"bands": bands, "dominance": 0.7}):
+                expected = []
+                for asn in sorted(per_asn):
+                    hit = catalog.lookup(asn)
+                    if hit is None or len(per_asn[asn]) < 10:
+                        continue
+                    entry = hit[0]
+                    verdict = classify_orbit(per_asn[asn], **kwargs)
+                    if not verdict_satisfies(verdict, entry.orbits, kwargs.get("bands")):
+                        expected.append(AsnAnomaly(asn, entry.name, entry.orbits, verdict))
+                assert flag_asn_anomalies(catalog, per_asn, **kwargs) == expected
+
+    def test_clean_single_orbit_asn_runs_no_kde(self, monkeypatch):
+        calls = []
+
+        def counting_kde(*args, **kwargs):
+            calls.append(args)
+            return kde(*args, **kwargs)
+
+        monkeypatch.setattr(profiling, "kde", counting_kde)
+        rng = random.Random(21)
+        catalog = self._catalog()
+        assert flag_asn_anomalies(catalog, {14593: [rng.gauss(56.0, 8.0) for _ in range(100)]}) == []
+        assert calls == []
+        # A mixed verdict reads its modes, so the KDE runs for it.
+        hybrid = [rng.gauss(280.0, 20.0) for _ in range(100)] + [rng.gauss(700.0, 40.0) for _ in range(100)]
+        assert flag_asn_anomalies(catalog, {12684: hybrid}) == []
+        assert len(calls) == 1
+
+    def test_bad_prominence_rejected_without_any_kde(self):
+        with pytest.raises(ValueError, match="min_prominence"):
+            flag_asn_anomalies(self._catalog(), {14593: [56.0 + i for i in range(20)]}, min_prominence=0.0)
