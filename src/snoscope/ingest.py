@@ -516,18 +516,25 @@ def session_to_json(session: SpeedTestSession) -> str:
 # traceroutes
 
 
-def _reply_from_obj(obj: Any, where: str, ips: dict[str, IPAddress] | None) -> HopReply:
+def _reply_from_obj(obj: Any, hop: int, ips: dict[str, IPAddress] | None) -> HopReply:
+    """One reply of the hop at index hop; a field's name is formatted only into an error."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{where} reply must be an object")
+        raise ValueError(f"hop {hop} reply must be an object")
     raw_ip = _require(obj, "ip")
     if raw_ip == UNRESPONSIVE:
         if obj.get("rtt_ms") is not None:
-            raise ValueError(f"{where} unresponsive reply cannot carry rtt_ms")
+            raise ValueError(f"hop {hop} unresponsive reply cannot carry rtt_ms")
         return HopReply(ip=None, rtt_ms=None)
-    return HopReply(
-        ip=_as_ip(raw_ip, f"{where} ip", ips),
-        rtt_ms=_as_number(_require(obj, "rtt_ms"), f"{where} rtt_ms", minimum=0.0),
-    )
+    try:
+        ip = _as_ip(raw_ip, "ip", ips)
+    except ValueError as exc:
+        raise ValueError(f"hop {hop} {exc}") from None
+    raw_rtt = _require(obj, "rtt_ms")
+    try:
+        rtt_ms = _as_number(raw_rtt, "rtt_ms", minimum=0.0)
+    except ValueError as exc:
+        raise ValueError(f"hop {hop} {exc}") from None
+    return HopReply(ip=ip, rtt_ms=rtt_ms)
 
 
 def traceroute_from_dict(obj: Any, memo: ScalarMemo | None = None) -> TracerouteMeasurement:
@@ -542,11 +549,15 @@ def traceroute_from_dict(obj: Any, memo: ScalarMemo | None = None) -> Traceroute
     for i, raw_hop in enumerate(raw_hops):
         if not isinstance(raw_hop, dict):
             raise ValueError(f"hop {i} must be an object")
-        hop_no = _as_int(_require(raw_hop, "hop_no"), f"hop {i} hop_no", minimum=1)
+        raw_no = _require(raw_hop, "hop_no")
+        try:
+            hop_no = _as_int(raw_no, "hop_no", minimum=1)
+        except ValueError as exc:
+            raise ValueError(f"hop {i} {exc}") from None
         raw_replies = _require(raw_hop, "replies")
         if not isinstance(raw_replies, list) or not raw_replies:
             raise ValueError(f"hop {i} replies must be a non-empty array")
-        replies = [_reply_from_obj(r, f"hop {i}", ips) for r in raw_replies]
+        replies = [_reply_from_obj(r, i, ips) for r in raw_replies]
         hops.append(Hop(hop_no=hop_no, replies=replies))
     for prev, cur in zip(hops, hops[1:]):
         if cur.hop_no <= prev.hop_no:

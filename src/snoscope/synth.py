@@ -13,14 +13,17 @@ specs produce byte-identical corpora.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as json_str
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from .catalog import OrbitBand, band_of
+from .catalog import band_of
 from .ingest import aspath_from_line, aspath_to_line
 from .util import atomic_write, format_rfc3339, parse_rfc3339, sha256_file
 
@@ -33,6 +36,14 @@ KIND_BACKUP = "backup"
 # Fraction of a backup-carrying profile's prefixes that receive the backup
 # sessions, mixing them with satellite traffic there.
 MIXED_PREFIX_SHARE = 0.3
+
+# Backup sessions are terrestrial: their latencies are drawn into
+# [BACKUP_MIN_MS, BACKUP_MAX_MS), so the median must lie there too.
+BACKUP_MIN_MS = 1.0
+BACKUP_MAX_MS = 180.0
+
+# A profile's prefix index fills the second and third octets of its /24s.
+MAX_PREFIXES = 1 << 16
 
 GATEWAY = "100.64.0.1"
 
@@ -176,10 +187,20 @@ class GeneratorSpec:
             raise ValueError("at least one profile is required")
         seen_asns: set[int] = set()
         for p in self.profiles:
+            floats = [p.jitter_ratio, p.retrans_median, p.backup_fraction, p.backup_median_ms]
+            floats += [x for c in p.components for x in (c.weight, c.median_ms, c.spread_ms)]
+            if not all(map(math.isfinite, floats)):
+                raise ValueError(f"{p.sno}: every numeric field must be finite")
             if p.n_sessions < 1 or p.n_prefixes < 1:
                 raise ValueError(f"{p.sno}: session and prefix counts must be >= 1")
+            if p.n_prefixes > MAX_PREFIXES:
+                raise ValueError(f"{p.sno}: n_prefixes must be <= {MAX_PREFIXES}")
+            if p.jitter_ratio < 0 or p.retrans_median < 0:
+                raise ValueError(f"{p.sno}: jitter_ratio and retrans_median must be >= 0")
             if not 0.0 <= p.backup_fraction <= 1.0:
                 raise ValueError(f"{p.sno}: backup_fraction must be in [0, 1]")
+            if p.backup_fraction > 0 and not BACKUP_MIN_MS <= p.backup_median_ms < BACKUP_MAX_MS:
+                raise ValueError(f"{p.sno}: backup_median_ms must be in [{BACKUP_MIN_MS}, {BACKUP_MAX_MS})")
             if not p.components:
                 raise ValueError(f"{p.sno}: at least one component is required")
             if p.asn in seen_asns:
@@ -192,7 +213,10 @@ class GeneratorSpec:
                 if c.spread_ms <= 0 or c.weight <= 0:
                     raise ValueError(f"{p.sno}: component spread and weight must be positive")
         for t in self.traceroute_plans:
-            if t.end <= t.start or t.cadence_hours <= 0 or not t.periods:
+            if not all(math.isfinite(x) for x in (t.cadence_hours, *(pp.rtt_ms for pp in t.periods))):
+                raise ValueError(f"probe {t.probe_id}: every numeric field must be finite")
+            # The step is whole microseconds; a shorter cadence never advances.
+            if t.end <= t.start or t.cadence_hours * 3.6e9 < 1 or not t.periods:
                 raise ValueError(f"probe {t.probe_id}: bad schedule")
             for pp in t.periods[:-1]:
                 if pp.until is None:
@@ -221,27 +245,6 @@ def _lognormal_in_band(
     return out
 
 
-def gen_latency_samples(
-    orbit: str,
-    median_ms: float,
-    spread_ms: float,
-    n: int,
-    seed: int,
-    bands: Mapping[str, OrbitBand] | None = None,
-) -> list[float]:
-    """n lognormal access latencies with the given median, inside the orbit's band."""
-    band = band_of(orbit, bands)
-    if not band.contains(median_ms):
-        raise ValueError(f"median {median_ms} is outside the {orbit} band")
-    if spread_ms <= 0:
-        raise ValueError("spread_ms must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    hi = band.max_ms if band.max_ms != float("inf") else median_ms * 64.0
-    return _lognormal_in_band(rng, median_ms, spread_ms, n, band.min_ms, hi).tolist()
-
-
 def _backup_slots(n: int, fraction: float) -> np.ndarray:
     """Boolean mask marking round(n * fraction) evenly spaced backup sessions."""
     flags = np.zeros(n, dtype=bool)
@@ -252,13 +255,31 @@ def _backup_slots(n: int, fraction: float) -> np.ndarray:
     return flags
 
 
+# Sessions are formatted ROW_BLOCK rows at a time, so only one block's
+# values are held as Python objects.
+ROW_BLOCK = 2048
+
+# Each NDJSON line is one %-template with its keys in a fixed order, giving
+# the bytes of json.dumps(..., separators=(",", ":")): floats use %r, which
+# is float.__repr__ as json writes finite floats; ints use %d; each string is
+# passed already JSON-encoded through %s and never pasted into a template.
+_SESSION_HEAD_FMT = '{"session_id":%s,"timestamp":%s,"client_ip":%s,"client_asn":%d,"direction":"download","snapshots":['
+_SNAPSHOT_FMT = (
+    '{"t_offset_ms":%r,"rtt_ms":%r,"rtt_var_ms":%r,"bytes_sent":%d,"bytes_retrans":%d,"delivery_rate_bps":%r}'
+)
+_LABEL_FMT = '{"session_id":%s,"sno":%s,"asn":%d,"expect":%s,"kind":%s,"latency_ms":%r}\n'
+_REPLY_FMT = '{"ip":%s,"rtt_ms":%r}'
+_HOP_FMT = '{"hop_no":%d,"replies":[%s]}'
+_TRACEROUTE_FMT = '{"probe_id":%d,"timestamp":%s,"src_addr":%s,"dst_name":%s,"dst_addr":%s,"hops":[%s]}\n'
+
+
 def _profile_sessions(
     profile: SnoProfile,
     profile_index: int,
     spec: GeneratorSpec,
     rng: np.random.Generator,
-) -> Iterator[tuple[dict[str, Any], dict[str, Any]]]:
-    """Yield (session record, label record) pairs for one profile."""
+) -> Iterator[tuple[str, str]]:
+    """Yield the (session line, label line) of each of one profile's sessions."""
     n = profile.n_sessions
     k = spec.snapshots_per_session
     flags = _backup_slots(n, profile.backup_fraction)
@@ -276,7 +297,7 @@ def _profile_sessions(
         lat[mask] = _lognormal_in_band(rng, comp.median_ms, comp.spread_ms, int(mask.sum()), band.min_ms, hi)
     if n_backup:
         lat[flags] = _lognormal_in_band(
-            rng, profile.backup_median_ms, profile.backup_median_ms * 0.25, n_backup, 1.0, 180.0
+            rng, profile.backup_median_ms, profile.backup_median_ms * 0.25, n_backup, BACKUP_MIN_MS, BACKUP_MAX_MS
         )
 
     offsets = np.cumsum(rng.uniform(500.0, 1100.0, (n, k)), axis=1)
@@ -295,66 +316,46 @@ def _profile_sessions(
     mixed_prefixes = max(1, round(profile.n_prefixes * MIXED_PREFIX_SHARE)) if n_backup else 0
     base_octet = 20 + (profile_index % 200)
 
-    offsets_l = offsets.round(3).tolist()
-    rtt_l = rtt.round(3).tolist()
-    rttvar_l = rttvar.round(3).tolist()
-    sent_l = bytes_sent.tolist()
-    retrans_l = bytes_retrans.tolist()
-    lat_l = lat.round(3).tolist()
-    secs_l = secs.tolist()
-    flags_l = flags.tolist()
+    offsets = offsets.round(3)
+    # A snapshot's delivery rate covers the interval since the one before,
+    # over the offsets as written.
+    rates = np.diff(bytes_sent, axis=1, prepend=0).astype(float) * 8000.0 / np.diff(offsets, axis=1, prepend=0.0)
+    columns = (offsets, rtt.round(3), rttvar.round(3), bytes_sent, bytes_retrans)
+    lat = lat.round(3)
 
+    session_fmt = _SESSION_HEAD_FMT + ",".join([_SNAPSHOT_FMT] * k) + "]}\n"
+    sno = json_str(profile.sno)
+    satellite = (json_str(LABEL_ACCEPT if profile.expect_accept else LABEL_REJECT), json_str(profile.kind))
+    backup = (json_str(LABEL_REJECT), json_str(KIND_BACKUP))
     sid_prefix = profile.sno.replace(" ", "-")
     sat_count = 0
     backup_count = 0
     per_prefix_hosts: dict[int, int] = {}
-    for j in range(n):
-        is_backup = flags_l[j]
-        if is_backup:
-            prefix = backup_count % mixed_prefixes
-            backup_count += 1
-        else:
-            prefix = sat_count % profile.n_prefixes
-            sat_count += 1
-        host_idx = per_prefix_hosts.get(prefix, 0)
-        per_prefix_hosts[prefix] = host_idx + 1
-        ip = f"{base_octet}.{prefix >> 8}.{prefix & 255}.{1 + host_idx % 250}"
-        stamp = spec.start + timedelta(seconds=secs_l[j])
-        row_off, row_rtt, row_var = offsets_l[j], rtt_l[j], rttvar_l[j]
-        row_sent, row_retr = sent_l[j], retrans_l[j]
-        snaps = []
-        prev_off, prev_sent = 0.0, 0
-        for m in range(k):
-            delta_ms = row_off[m] - prev_off
-            rate = round((row_sent[m] - prev_sent) * 8000.0 / delta_ms, 1)
-            snaps.append(
-                {
-                    "t_offset_ms": row_off[m],
-                    "rtt_ms": row_rtt[m],
-                    "rtt_var_ms": row_var[m],
-                    "bytes_sent": row_sent[m],
-                    "bytes_retrans": row_retr[m],
-                    "delivery_rate_bps": rate,
-                }
-            )
-            prev_off, prev_sent = row_off[m], row_sent[m]
-        session = {
-            "session_id": f"{sid_prefix}-{profile.asn}-{j:06d}",
-            "timestamp": format_rfc3339(stamp),
-            "client_ip": ip,
-            "client_asn": profile.asn,
-            "direction": "download",
-            "snapshots": snaps,
-        }
-        label = {
-            "session_id": session["session_id"],
-            "sno": profile.sno,
-            "asn": profile.asn,
-            "expect": LABEL_REJECT if is_backup or not profile.expect_accept else LABEL_ACCEPT,
-            "kind": KIND_BACKUP if is_backup else profile.kind,
-            "latency_ms": lat_l[j],
-        }
-        yield session, label
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        block = np.empty((hi - lo, k, len(columns) + 1), dtype=object)
+        for field, column in enumerate(columns):
+            block[:, :, field] = column[lo:hi]
+        # Python's round is correctly rounded; np.round is not.
+        rounded = list(map(round, rates[lo:hi].ravel().tolist(), repeat(1)))
+        block[:, :, -1] = np.array(rounded, dtype=object).reshape(hi - lo, k)
+        rows = block.reshape(hi - lo, -1).tolist()
+        sessions = zip(range(lo, hi), rows, flags[lo:hi].tolist(), secs[lo:hi].tolist(), lat[lo:hi].tolist())
+        for j, snaps, is_backup, sec, latency in sessions:
+            if is_backup:
+                prefix = backup_count % mixed_prefixes
+                backup_count += 1
+            else:
+                prefix = sat_count % profile.n_prefixes
+                sat_count += 1
+            host_idx = per_prefix_hosts.get(prefix, 0)
+            per_prefix_hosts[prefix] = host_idx + 1
+            ip = f"{base_octet}.{prefix >> 8}.{prefix & 255}.{1 + host_idx % 250}"
+            stamp = format_rfc3339(spec.start + timedelta(seconds=sec))
+            sid = json_str(f"{sid_prefix}-{profile.asn}-{j:06d}")
+            session = session_fmt % (sid, json_str(stamp), json_str(ip), profile.asn, *snaps)
+            label = _LABEL_FMT % (sid, sno, profile.asn, *(backup if is_backup else satellite), latency)
+            yield session, label
 
 
 def _plan_times(plan: TraceroutePlan) -> Iterator[datetime]:
@@ -380,8 +381,8 @@ def probe_address(plan: TraceroutePlan, period_index: int) -> str:
 def gen_traceroute_series(
     plan: TraceroutePlan,
     rng: np.random.Generator,
-) -> tuple[list[dict[str, Any]], dict[str, str]]:
-    """Measurements for one probe plus the reverse-DNS rows they rely on.
+) -> tuple[list[str], dict[str, str]]:
+    """NDJSON lines of one probe's measurements, plus the reverse-DNS rows they rely on.
 
     The probe measures each root server in rotation on a fixed cadence; its
     source address (and therefore its PoP hostname) follows the scripted
@@ -391,42 +392,28 @@ def gen_traceroute_series(
     rdns: dict[str, str] = {}
     for i, period in enumerate(plan.periods):
         rdns[probe_address(plan, i)] = f"customer.{period.pop_code}.pop.starlinkisp.net"
-    measurements: list[dict[str, Any]] = []
+    lines: list[str] = []
     for ti, stamp in enumerate(_plan_times(plan)):
         period_index = _period_at(plan, stamp)
         period = plan.periods[period_index]
         dst_name, dst_addr = ROOT_SERVERS[ti % len(ROOT_SERVERS)]
         base = period.rtt_ms
         gateway_rtts = np.maximum(rng.normal(base, 0.02 * base, 3), 1.0)
-        hops: list[dict[str, Any]] = [
-            {"hop_no": 1, "replies": [{"ip": "192.168.1.1", "rtt_ms": round(float(rng.uniform(1.0, 3.0)), 2)}]},
-            {"hop_no": 2, "replies": [{"ip": GATEWAY, "rtt_ms": round(float(r), 2)} for r in gateway_rtts]},
-            {"hop_no": 3, "replies": [{"ip": f"206.224.{period_index}.1", "rtt_ms": round(base + float(rng.uniform(0.5, 2.0)), 2)}]},
-        ]
+        lan = _REPLY_FMT % (json_str("192.168.1.1"), round(float(rng.uniform(1.0, 3.0)), 2))
+        gateway = ",".join([_REPLY_FMT % (json_str(GATEWAY), round(float(r), 2)) for r in gateway_rtts])
+        pop = _REPLY_FMT % (json_str(f"206.224.{period_index}.1"), round(base + float(rng.uniform(0.5, 2.0)), 2))
+        hops = [_HOP_FMT % (1, lan), _HOP_FMT % (2, gateway), _HOP_FMT % (3, pop)]
         transit_hops = ti % len(ROOT_SERVERS)  # path lengths spread 4..17 hops
         cumulative = base + 2.0
         for h in range(transit_hops):
             cumulative += float(rng.uniform(0.2, 3.0))
-            hops.append(
-                {"hop_no": 4 + h, "replies": [{"ip": f"160.{ti % 13}.{h}.1", "rtt_ms": round(cumulative, 2)}]}
-            )
-        hops.append(
-            {
-                "hop_no": 4 + transit_hops,
-                "replies": [{"ip": dst_addr, "rtt_ms": round(cumulative + float(rng.uniform(0.0, 2.0)), 2)}],
-            }
-        )
-        measurements.append(
-            {
-                "probe_id": plan.probe_id,
-                "timestamp": format_rfc3339(stamp),
-                "src_addr": probe_address(plan, period_index),
-                "dst_name": dst_name,
-                "dst_addr": dst_addr,
-                "hops": hops,
-            }
-        )
-    return measurements, rdns
+            hops.append(_HOP_FMT % (4 + h, _REPLY_FMT % (json_str(f"160.{ti % 13}.{h}.1"), round(cumulative, 2))))
+        target = _REPLY_FMT % (json_str(dst_addr), round(cumulative + float(rng.uniform(0.0, 2.0)), 2))
+        hops.append(_HOP_FMT % (4 + transit_hops, target))
+        src_addr = probe_address(plan, period_index)
+        strings = (format_rfc3339(stamp), src_addr, dst_name, dst_addr)
+        lines.append(_TRACEROUTE_FMT % (plan.probe_id, *map(json_str, strings), ",".join(hops)))
+    return lines, rdns
 
 
 SPEEDTESTS_FILE = "speedtests.ndjson"
@@ -455,17 +442,16 @@ def gen_corpus(spec: GeneratorSpec, out_dir: str | Path) -> dict[str, Path]:
         for index, profile in enumerate(spec.profiles):
             rng = np.random.default_rng([spec.seed, index])
             for session, label in _profile_sessions(profile, index, spec, rng):
-                sessions_out.write(json.dumps(session, separators=(",", ":")) + "\n")
-                labels_out.write(json.dumps(label, separators=(",", ":")) + "\n")
+                sessions_out.write(session)
+                labels_out.write(label)
 
     rdns_all: dict[str, str] = {}
     with atomic_write(paths[TRACEROUTES_FILE]) as traces_out:
         for index, plan in enumerate(spec.traceroute_plans):
             rng = np.random.default_rng([spec.seed, 1_000_000 + index])
-            measurements, rdns = gen_traceroute_series(plan, rng)
+            lines, rdns = gen_traceroute_series(plan, rng)
             rdns_all.update(rdns)
-            for m in measurements:
-                traces_out.write(json.dumps(m, separators=(",", ":")) + "\n")
+            traces_out.writelines(lines)
 
     with atomic_write(paths[RDNS_FILE]) as rdns_out:
         rdns_out.write("ip,hostname\n")

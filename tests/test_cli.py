@@ -105,6 +105,20 @@ class TestSynthCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("profile", "field", "value"),
+        [(1, "backup_median_ms", -5), (0, "jitter_ratio", float("inf")), (0, "n_prefixes", 70_000)],
+    )
+    def test_bad_spec_is_an_input_error(self, tmp_path, capsys, profile, field, value):
+        spec = small_spec_dict()
+        spec["profiles"][profile][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))  # an infinite value is written as the token Infinity
+        code = main(["synth", "--spec", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestClassifyCommand:
     def test_outputs_and_manifest(self, corpus_dir, classify_dir):

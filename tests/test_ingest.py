@@ -374,6 +374,35 @@ class TestTracerouteRecords:
         with pytest.raises(ValueError, match="unresponsive"):
             traceroute_from_dict(obj)
 
+    @pytest.mark.parametrize(
+        ("hop", "reply", "message"),
+        [
+            (1, {"ip": "10.0.0.256", "rtt_ms": 4.0}, "hop 1 ip is not an IP address: '10.0.0.256'"),
+            (2, {"ip": 17, "rtt_ms": 4.0}, "hop 2 ip must be a non-empty string"),
+            (0, {"ip": "10.0.0.1", "rtt_ms": "4"}, "hop 0 rtt_ms must be a number"),
+            (1, {"ip": "10.0.0.1", "rtt_ms": -0.5}, "hop 1 rtt_ms must be >= 0.0, got -0.5"),
+            (1, {"ip": "10.0.0.1"}, "missing field 'rtt_ms'"),
+            (0, {"ip": "*", "rtt_ms": 4.0}, "hop 0 unresponsive reply cannot carry rtt_ms"),
+            (2, "10.0.0.1", "hop 2 reply must be an object"),
+        ],
+    )
+    def test_reply_error_messages(self, hop, reply, message):
+        obj = traceroute_to_dict(make_traceroute())
+        obj["hops"][hop]["replies"][0] = reply
+        with pytest.raises(ValueError) as exc_info:
+            traceroute_from_dict(obj)
+        assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize(
+        ("hop_no", "message"), [(0, "hop 0 hop_no must be >= 1, got 0"), (1.5, "hop 0 hop_no must be an integer")]
+    )
+    def test_hop_number_error_messages(self, hop_no, message):
+        obj = traceroute_to_dict(make_traceroute())
+        obj["hops"][0]["hop_no"] = hop_no
+        with pytest.raises(ValueError) as exc_info:
+            traceroute_from_dict(obj)
+        assert str(exc_info.value) == message
+
     def test_stream_parses_lenient(self, tmp_path):
         path = tmp_path / "traces.ndjson"
         path.write_text(traceroute_to_json(make_traceroute()) + "\nnot json\n")
