@@ -28,7 +28,6 @@ from .catalog import SnoCatalog, make_bands
 from .ingest import (
     RecordError,
     TableError,
-    TracerouteMeasurement,
     parse_aspath_stream,
     parse_catalog,
     parse_pop_table,
@@ -467,16 +466,21 @@ def cmd_report_traceroute(args: argparse.Namespace) -> int:
     rdns = parse_rdns(opts.rdns)
     pop_table = parse_pop_table(opts.pop_table)
     errors = ParseErrors()
-    by_probe: dict[int, list[TracerouteMeasurement]] = {}
+    # Each measurement is reduced as it is parsed; a probe none of whose
+    # paths crossed the gateway still counts, with an empty timeline.
+    by_probe: dict[int, list[starlink.PathSample]] = {}
     for item in errors.skip(parse_traceroute_stream(traceroutes_path, strictness=opts.strictness())):
-        by_probe.setdefault(item.probe_id, []).append(item)
+        samples = by_probe.setdefault(item.probe_id, [])
+        sample = starlink.path_sample(item, rdns)
+        if sample is not None:
+            samples.append(sample)
 
     timeline_rows: list[dict[str, Any]] = []
     event_rows: list[dict[str, Any]] = []
     country_rtts: dict[str, list[float]] = {}
     pop_rows: set[tuple[Any, ...]] = set()
     for probe_id in sorted(by_probe):
-        timeline = starlink.build_pop_timeline(by_probe[probe_id], rdns)
+        timeline = starlink.build_pop_timeline(by_probe[probe_id])
         for assignment in timeline:
             timeline_rows.append(
                 {
@@ -561,7 +565,7 @@ def cmd_report_bgp(args: argparse.Namespace) -> int:
     registry = parse_registry(opts.registry)
     errors = ParseErrors()
     graphs = [
-        bgp.build_graph(list(errors.skip(parse_aspath_stream(path, strictness=opts.strictness()))), entry, registry)
+        bgp.build_graph(errors.skip(parse_aspath_stream(path, strictness=opts.strictness())), entry, registry)
         for path in opts.inputs
     ]
 

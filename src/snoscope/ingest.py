@@ -537,31 +537,79 @@ def _reply_from_obj(obj: Any, hop: int, ips: dict[str, IPAddress] | None) -> Hop
     return HopReply(ip=ip, rtt_ms=rtt_ms)
 
 
+def _hop_from_obj(obj: Any, hop: int, ips: dict[str, IPAddress] | None) -> Hop:
+    """The hop at index hop, checked field by field, as _reply_from_obj checks a reply."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"hop {hop} must be an object")
+    raw_no = _require(obj, "hop_no")
+    try:
+        hop_no = _as_int(raw_no, "hop_no", minimum=1)
+    except ValueError as exc:
+        raise ValueError(f"hop {hop} {exc}") from None
+    raw_replies = _require(obj, "replies")
+    if not isinstance(raw_replies, list) or not raw_replies:
+        raise ValueError(f"hop {hop} replies must be a non-empty array")
+    return Hop(hop_no=hop_no, replies=[_reply_from_obj(r, hop, ips) for r in raw_replies])
+
+
+def _memo_hops(raw_hops: list[Any], ips: dict[str, IPAddress]) -> tuple[list[Hop], bool]:
+    """A stream record's hops, and whether their numbers strictly increase.
+
+    A hop or reply of the common shape is accepted by inline checks: a dict
+    hop whose int hop_no exceeds the previous hop's and whose replies are a
+    non-empty list, and a dict reply whose ip is a string in ips and whose
+    rtt_ms is a finite float >= 0. _hop_from_obj and _reply_from_obj accept
+    exactly these values too, and they check every other hop and reply, one
+    at a time; so the hops and the first error are the same as theirs.
+    """
+    hops: list[Hop] = []
+    prev_no = 0
+    ordered = True
+    for i, raw_hop in enumerate(raw_hops):
+        if (
+            type(raw_hop) is dict
+            and type(hop_no := raw_hop.get("hop_no")) is int
+            and hop_no > prev_no
+            and type(raw_replies := raw_hop.get("replies")) is list
+            and raw_replies
+        ):
+            replies = []
+            for raw in raw_replies:
+                if (
+                    type(raw) is dict
+                    and type(text := raw.get("ip")) is str
+                    and (ip := ips.get(text)) is not None
+                    and type(rtt_ms := raw.get("rtt_ms")) is float
+                    and 0.0 <= rtt_ms < math.inf
+                ):
+                    replies.append(HopReply(ip, rtt_ms))
+                else:
+                    replies.append(_reply_from_obj(raw, i, ips))
+            hops.append(Hop(hop_no, replies))
+        else:
+            hop = _hop_from_obj(raw_hop, i, ips)
+            hop_no = hop.hop_no
+            ordered = ordered and hop_no > prev_no
+            hops.append(hop)
+        prev_no = hop_no
+    return hops, ordered
+
+
 def traceroute_from_dict(obj: Any, memo: ScalarMemo | None = None) -> TracerouteMeasurement:
-    """Build one traceroute; a stream parser passes its memo (see ScalarMemo)."""
+    """Build one traceroute; a stream parser passes its memo (see ScalarMemo and _memo_hops)."""
     ips, stamps = (None, None) if memo is None else (memo.ips, memo.stamps)
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     raw_hops = _require(obj, "hops")
     if not isinstance(raw_hops, list) or not raw_hops:
         raise ValueError("hops must be a non-empty array")
-    hops: list[Hop] = []
-    for i, raw_hop in enumerate(raw_hops):
-        if not isinstance(raw_hop, dict):
-            raise ValueError(f"hop {i} must be an object")
-        raw_no = _require(raw_hop, "hop_no")
-        try:
-            hop_no = _as_int(raw_no, "hop_no", minimum=1)
-        except ValueError as exc:
-            raise ValueError(f"hop {i} {exc}") from None
-        raw_replies = _require(raw_hop, "replies")
-        if not isinstance(raw_replies, list) or not raw_replies:
-            raise ValueError(f"hop {i} replies must be a non-empty array")
-        replies = [_reply_from_obj(r, i, ips) for r in raw_replies]
-        hops.append(Hop(hop_no=hop_no, replies=replies))
-    for prev, cur in zip(hops, hops[1:]):
-        if cur.hop_no <= prev.hop_no:
-            raise ValueError("hop_no must be strictly increasing")
+    if ips is None:
+        hops = [_hop_from_obj(raw_hop, i, None) for i, raw_hop in enumerate(raw_hops)]
+        ordered = all(prev.hop_no < cur.hop_no for prev, cur in zip(hops, hops[1:]))
+    else:
+        hops, ordered = _memo_hops(raw_hops, ips)
+    if not ordered:
+        raise ValueError("hop_no must be strictly increasing")
     return TracerouteMeasurement(
         probe_id=_as_int(_require(obj, "probe_id"), "probe_id", minimum=0),
         timestamp=_as_timestamp(_require(obj, "timestamp"), memo=stamps),

@@ -71,12 +71,15 @@ def parse_pop_hostname(hostname: str) -> str:
     return match.group(1)
 
 
-def hops_to_target(m: TracerouteMeasurement) -> int | None:
-    """Hop number at which the destination replied, or None if never reached."""
-    for hop in m.hops:
-        if any(reply.ip == m.dst_addr for reply in hop.replies):
-            return hop.hop_no
-    return None
+@dataclass(slots=True)
+class PathSample:
+    """One satellite-path measurement reduced to its PoP and gateway RTT."""
+
+    probe_id: int
+    timestamp: datetime
+    dst_name: str
+    pop_code: str
+    rtt_ms: float
 
 
 @dataclass
@@ -118,40 +121,46 @@ def _pop_of(m: TracerouteMeasurement, rdns: Mapping[str, str]) -> str:
         return UNKNOWN_POP
 
 
-def build_pop_timeline(
-    measurements: Iterable[TracerouteMeasurement],
+def path_sample(
+    m: TracerouteMeasurement,
     rdns: Mapping[str, str],
     gateway: IPAddress = GATEWAY_IP,
-) -> list[PopAssignment]:
-    """Coalesce one probe's measurements into consecutive PoP assignments.
+) -> PathSample | None:
+    """What a PoP timeline needs of one measurement, or None if it never crossed the gateway.
 
-    Measurements that never crossed the gateway are dropped (the path did
-    not ride the satellite network). Probes whose source address has no
-    usable reverse DNS are kept under the "unknown" PoP code so gaps stay
-    visible.
+    A path that did not cross the gateway did not ride the satellite
+    network. A source address with no usable reverse DNS gets the "unknown"
+    PoP code, so gaps stay visible.
     """
-    usable = [m for m in measurements if verify_satellite_path(m, gateway)]
-    usable.sort(key=lambda m: (m.timestamp, m.dst_name))
-    probe_ids = {m.probe_id for m in usable}
+    if not verify_satellite_path(m, gateway):
+        return None
+    return PathSample(m.probe_id, m.timestamp, m.dst_name, _pop_of(m, rdns), pop_rtt(m, gateway))
+
+
+def build_pop_timeline(samples: Iterable[PathSample]) -> list[PopAssignment]:
+    """Coalesce one probe's path samples into consecutive PoP assignments.
+
+    Samples are ordered by (timestamp, dst_name), ties kept in input order.
+    """
+    usable = sorted(samples, key=lambda s: (s.timestamp, s.dst_name))
+    probe_ids = {s.probe_id for s in usable}
     if len(probe_ids) > 1:
         raise ValueError(f"timeline mixes probes {sorted(probe_ids)}")
     timeline: list[PopAssignment] = []
-    for m in usable:
-        code = _pop_of(m, rdns)
-        rtt = pop_rtt(m, gateway)
-        if timeline and timeline[-1].pop_code == code:
+    for s in usable:
+        if timeline and timeline[-1].pop_code == s.pop_code:
             current = timeline[-1]
-            current.end = m.timestamp
-            current.samples.append((m.timestamp, rtt))
+            current.end = s.timestamp
+            current.samples.append((s.timestamp, s.rtt_ms))
         else:
             timeline.append(
                 PopAssignment(
-                    probe_id=m.probe_id,
-                    pop_code=code,
-                    start=m.timestamp,
-                    end=m.timestamp,
-                    median_rtt_ms=rtt,
-                    samples=[(m.timestamp, rtt)],
+                    probe_id=s.probe_id,
+                    pop_code=s.pop_code,
+                    start=s.timestamp,
+                    end=s.timestamp,
+                    median_rtt_ms=s.rtt_ms,
+                    samples=[(s.timestamp, s.rtt_ms)],
                 )
             )
     for assignment in timeline:

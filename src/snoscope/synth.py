@@ -19,7 +19,7 @@ from datetime import datetime, timedelta
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as json_str
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -125,15 +125,27 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, obj: Mapping[str, Any]) -> "GeneratorSpec":
+        try:
+            spec = cls._from_dict(obj)
+        except (TypeError, OverflowError) as exc:
+            # int() or float() of a value that is no number, such as null or a list
+            raise ValueError(f"malformed spec: {exc}") from None
+        spec.validate()
+        return spec
+
+    @classmethod
+    def _from_dict(cls, obj: Mapping[str, Any]) -> "GeneratorSpec":
         profiles = tuple(
             SnoProfile(
-                sno=p["sno"],
+                sno=_string(p["sno"], "sno"),
                 asn=int(p["asn"]),
                 n_sessions=int(p["n_sessions"]),
                 n_prefixes=int(p["n_prefixes"]),
                 components=tuple(
-                    OrbitComponent(c["orbit"], float(c["weight"]), float(c["median_ms"]), float(c["spread_ms"]))
-                    for c in p["components"]
+                    OrbitComponent(
+                        _string(c["orbit"], "orbit"), float(c["weight"]), float(c["median_ms"]), float(c["spread_ms"])
+                    )
+                    for c in _objects(p["components"], "components")
                 ),
                 jitter_ratio=float(p["jitter_ratio"]),
                 retrans_median=float(p["retrans_median"]),
@@ -142,36 +154,37 @@ class GeneratorSpec:
                 expect_accept=bool(p.get("expect_accept", True)),
                 kind=str(p.get("kind", KIND_SATELLITE)),
             )
-            for p in obj["profiles"]
+            for p in _objects(obj["profiles"], "profiles")
         )
         plans = tuple(
             TraceroutePlan(
                 probe_id=int(t["probe_id"]),
-                start=parse_rfc3339(t["start"]),
-                end=parse_rfc3339(t["end"]),
+                start=parse_rfc3339(_string(t["start"], "start")),
+                end=parse_rfc3339(_string(t["end"], "end")),
                 cadence_hours=float(t["cadence_hours"]),
                 periods=tuple(
                     PopPeriod(
                         pop_code=str(pp["pop"]),
                         rtt_ms=float(pp["rtt_ms"]),
-                        until=parse_rfc3339(pp["until"]) if pp.get("until") else None,
+                        until=parse_rfc3339(_string(pp["until"], "until")) if pp.get("until") else None,
                     )
-                    for pp in t["periods"]
+                    for pp in _objects(t["periods"], "periods")
                 ),
             )
-            for t in obj.get("traceroute_plans", ())
+            for t in _objects(obj.get("traceroute_plans", []), "traceroute_plans")
         )
-        spec = cls(
+        as_paths = obj.get("as_paths", [])
+        if not isinstance(as_paths, (list, tuple)) or not all(isinstance(line, str) for line in as_paths):
+            raise ValueError("as_paths must be an array of strings")
+        return cls(
             seed=int(obj["seed"]),
-            start=parse_rfc3339(obj["start"]),
+            start=parse_rfc3339(_string(obj["start"], "start")),
             days=int(obj["days"]),
             snapshots_per_session=int(obj["snapshots_per_session"]),
             profiles=profiles,
             traceroute_plans=plans,
-            as_paths=tuple(obj.get("as_paths", ())),
+            as_paths=tuple(as_paths),
         )
-        spec.validate()
-        return spec
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GeneratorSpec":
@@ -181,6 +194,10 @@ class GeneratorSpec:
     def validate(self) -> None:
         if self.days < 1:
             raise ValueError("days must be >= 1")
+        try:
+            self.start + timedelta(days=self.days)
+        except OverflowError:
+            raise ValueError("start plus days must fall before year 10000") from None
         if self.snapshots_per_session < 2:
             raise ValueError("snapshots_per_session must be >= 2")
         if not self.profiles:
@@ -218,11 +235,28 @@ class GeneratorSpec:
             # The step is whole microseconds; a shorter cadence never advances.
             if t.end <= t.start or t.cadence_hours * 3.6e9 < 1 or not t.periods:
                 raise ValueError(f"probe {t.probe_id}: bad schedule")
+            try:
+                # the last measurement is before end, so each step lands before end plus one step
+                t.end + timedelta(hours=t.cadence_hours)
+            except OverflowError:
+                raise ValueError(f"probe {t.probe_id}: cadence_hours steps past year 9999") from None
             for pp in t.periods[:-1]:
                 if pp.until is None:
                     raise ValueError(f"probe {t.probe_id}: only the last period may be open-ended")
         for line in self.as_paths:
             aspath_from_line(line)
+
+
+def _objects(value: Any, name: str) -> Sequence[Mapping[str, Any]]:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(x, dict) for x in value):
+        raise ValueError(f"{name} must be an array of objects")
+    return value
+
+
+def _string(value: Any, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def _lognormal_in_band(

@@ -50,6 +50,7 @@ from snoscope.starlink import (
     EVENT_POP_CHANGE,
     build_pop_timeline,
     detect_changes,
+    path_sample,
 )
 from snoscope.util import sha256_file
 from test_bgp import HUGHES, MARLINK, REGISTRY, cc, paths, synthetic_graph
@@ -302,11 +303,12 @@ def test_7_pop_handover_detection(default_corpus, default_spec):
         for m in parse_traceroute_stream(
             default_corpus["traceroutes.ndjson"], strictness="strict"
         ):
-            by_probe.setdefault(m.probe_id, []).append(m)
+            sample = path_sample(m, rdns)
+            by_probe.setdefault(m.probe_id, []).extend([sample] if sample is not None else [])
         assert set(by_probe) == {plan.probe_id for plan in default_spec.traceroute_plans}
 
         for plan in default_spec.traceroute_plans:
-            timeline = build_pop_timeline(by_probe[plan.probe_id], rdns)
+            timeline = build_pop_timeline(by_probe[plan.probe_id])
             assert [a.pop_code for a in timeline] == [p.pop_code for p in plan.periods]
             for assignment, period in zip(timeline, plan.periods):
                 relative_err = abs(assignment.median_rtt_ms - period.rtt_ms) / period.rtt_ms

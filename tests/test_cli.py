@@ -120,6 +120,35 @@ class TestSynthCommand:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda spec: spec["profiles"][0].update(sno=5),
+            lambda spec: spec["profiles"][0].update(asn=None),
+            lambda spec: spec.update(profiles={"starlink": spec["profiles"][0]}),
+            lambda spec: spec["profiles"][0].update(components=["LEO"]),
+            lambda spec: spec.update(as_paths=[5]),
+            lambda spec: spec.update(days=10**7),
+            lambda spec: spec["traceroute_plans"][0].update(cadence_hours=1e20),
+            # one step after the first measurement falls past year 9999
+            lambda spec: spec["traceroute_plans"][0].update(
+                start="9999-12-31T00:00:00Z", end="9999-12-31T12:00:00Z", cadence_hours=24.0, periods=[{"pop": "a", "rtt_ms": 1.0}]
+            ),
+        ],
+        ids=["int sno", "null asn", "object profiles", "string component", "int as_path", "days past 9999", "1e20 cadence",
+             "cadence past 9999"],
+    )
+    def test_spec_of_wrong_type_or_range_is_an_input_error(self, tmp_path, capsys, edit):
+        spec = small_spec_dict()
+        edit(spec)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        code = main(["synth", "--spec", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestClassifyCommand:
     def test_outputs_and_manifest(self, corpus_dir, classify_dir):
         names = {p.name for p in classify_dir.iterdir()}
@@ -495,6 +524,20 @@ class TestReportTraceroute:
         cities = {row[2] for row in rows[1:]}
         assert cities == {"Sydney", "Auckland"}
 
+    def test_probe_without_gateway_crossings_counts_with_an_empty_timeline(self, corpus_dir, tmp_path, capsys):
+        lines = (corpus_dir / "traceroutes.ndjson").read_text().splitlines()
+        for line in lines[:3]:  # the same paths from a probe whose gateway hop is gone
+            obj = json.loads(line)
+            obj["probe_id"] = 1002
+            obj["hops"] = [h for h in obj["hops"] if h["replies"][0]["ip"] != "100.64.0.1"]
+            lines.append(json.dumps(obj))
+        corpus = tmp_path / "traceroutes.ndjson"
+        corpus.write_text("\n".join(lines) + "\n")
+        argv = ["report", "traceroute", "--input", str(corpus), "--rdns", str(corpus_dir / "rdns.csv")]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+        assert "report traceroute: 2 probes, 2 assignments, 1 events" in capsys.readouterr().out
+        assert {row["probe_id"] for row in read_ndjson(tmp_path / "o" / "timeline.ndjson")} == {1001}
+
     def test_requires_rdns(self, corpus_dir, tmp_path, capsys):
         code = main(
             [
@@ -508,6 +551,21 @@ class TestReportTraceroute:
         )
         assert code == 2
         assert "--rdns" in capsys.readouterr().err
+
+
+# report traceroute's outputs on the default corpus (bundled spec, seed 20230501).
+DEFAULT_TRACEROUTE_DIGESTS = {
+    "country_rtt.csv": "a346dc19a9b9f82b7814c2adf0e12bbd79a9eee6231b9a72c27b5ac0258b28ce",
+    "events.ndjson": "9edd9f4ece3a632c6b9eafcc223ffe373bf1db5b495eee04e36939b6da30966b",
+    "probe_pops.csv": "98bf32cc44ff4f54d9d5eb117048b0cf5c5336a6813581390c652dda04048d88",
+    "timeline.ndjson": "f4118960e883939396cdf891bbd1e8eee3595de27394f9a4b13157f4eff35779",
+}
+
+
+def test_report_traceroute_digests_on_the_default_corpus(default_corpus, tmp_path):
+    argv = ["report", "traceroute", "--input", str(default_corpus["traceroutes.ndjson"])]
+    assert main(argv + ["--rdns", str(default_corpus["rdns.csv"]), "--out", str(tmp_path)]) == 0
+    assert {name: sha256_file(tmp_path / name) for name in DEFAULT_TRACEROUTE_DIGESTS} == DEFAULT_TRACEROUTE_DIGESTS
 
 
 @pytest.fixture(scope="module")

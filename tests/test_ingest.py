@@ -478,24 +478,63 @@ ADDRESSES = ["100.64.0.1", "192.168.1.1", "2001:db8::1", "100.64.0.256", "1.2.3"
 STAMPS = ["2022-05-03T00:00:00Z", "2022-05-03T01:00:00+01:00", "2022-05-03T00:00:00", "2022-13-03T00:00:00Z"]
 
 
+MISSING = object()
+# rtt_ms values around the edges of "a finite float >= 0", and none at all.
+RTT_VALUES = [1, 0, True, False, -1.5, -0.5, -0.0, 0.0, 2.5, math.nan, math.inf, -math.inf, 2**63, 2**64, 1e19, "1.5", None, MISSING]
+# hop_no values other than the next number; REPEAT is the previous hop's (the last
+# hop's, for the first).
+REPEAT = object()
+HOP_NUMBERS = [True, False, 0, -1, 1.0, "2", None, 10**6, REPEAT, MISSING]
+REPLIES = [{"ip": "*"}, {"ip": "*", "rtt_ms": None}, {"ip": "*", "rtt_ms": 3.0}, {"ip": "*", "rtt_ms": 0}, [], "*", None, 7]
+BAD_REPLIES = [[], {}, None, "*", {"ip": "100.64.0.1", "rtt_ms": 1.0}, MISSING]
+DEFECTS = ["none", "address", "stamp", "rtt_ms", "reply", "hop_no", "replies", "hop"]
+
+
 @st.composite
 def traceroute_lines(draw) -> str:
-    """A valid traceroute line whose addresses and timestamp come from small pools, or any JSON scalar."""
-    def pooled(pool):
-        # mostly from the pool, so that values recur within a stream
-        return draw(st.sampled_from(pool) if draw(st.integers(0, 4)) else JSON_SCALARS)
+    """A traceroute line whose addresses and timestamp come from small pools, with at most one defect.
 
-    obj = traceroute_to_dict(make_traceroute())
-    for reply in (r for hop in obj["hops"] for r in hop["replies"] if "rtt_ms" in r):
-        reply["ip"] = pooled(ADDRESSES)
-    obj["src_addr"], obj["dst_addr"], obj["timestamp"] = pooled(ADDRESSES), pooled(ADDRESSES), pooled(STAMPS)
+    Values recur within a stream, so most replies meet addresses the memo
+    holds. The one defect, if any, is a malformed address or timestamp
+    (pooled or any JSON value), an rtt_ms or hop_no outside its domain, an
+    unresponsive or non-object reply, bad replies, or a non-object hop.
+    """
+    obj = traceroute_to_dict(make_traceroute(reach_target=draw(st.booleans())))
+    hops = obj["hops"]
+    replies = [r for hop in hops for r in hop["replies"] if r["ip"] != "*"]
+    for reply in replies:
+        reply["ip"] = draw(st.sampled_from(ADDRESSES[:3]))
+    obj["src_addr"], obj["dst_addr"] = draw(st.sampled_from(ADDRESSES[:3])), draw(st.sampled_from(ADDRESSES[:3]))
+    obj["timestamp"] = draw(st.sampled_from(STAMPS[:2]))
+    defect = draw(st.sampled_from(DEFECTS))
+    hop = draw(st.sampled_from(hops))
+    reply = draw(st.sampled_from(replies))
+    if defect == "address":
+        value = draw(st.sampled_from(ADDRESSES[3:] + [[ADDRESSES[0]]]) | JSON_VALUES)
+        reply_or_top, key = draw(st.sampled_from([(reply, "ip"), (obj, "src_addr"), (obj, "dst_addr")]))
+        reply_or_top[key] = value
+    elif defect == "stamp":
+        obj["timestamp"] = draw(st.sampled_from(STAMPS[2:]) | JSON_SCALARS)
+    elif defect in ("rtt_ms", "hop_no", "replies"):
+        target, values = {"rtt_ms": (reply, RTT_VALUES), "hop_no": (hop, HOP_NUMBERS), "replies": (hop, BAD_REPLIES)}[defect]
+        value = draw(st.sampled_from(values))
+        if value is REPEAT:
+            value = hops[hops.index(hop) - 1]["hop_no"]
+        if value is MISSING:
+            del target[defect]
+        else:
+            target[defect] = value
+    elif defect == "reply":
+        hop["replies"][draw(st.integers(0, len(hop["replies"]) - 1))] = draw(st.sampled_from(REPLIES) | JSON_SCALARS)
+    elif defect == "hop":
+        hops[hops.index(hop)] = draw(JSON_SCALARS | st.just([]))
     return json.dumps(obj)
 
 
 class TestStreamMemo:
     """A stream's memo of parsed addresses and timestamps changes no record and no error."""
 
-    @settings(PROPERTY_SETTINGS, max_examples=200)
+    @settings(PROPERTY_SETTINGS, max_examples=400)
     @given(lines=st.lists(traceroute_lines(), min_size=1, max_size=8))
     def test_traceroute_stream_equals_records_parsed_alone(self, lines):
         expected = [traceroute_chain(line, i) for i, line in enumerate(lines, start=1)]

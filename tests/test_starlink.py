@@ -17,8 +17,8 @@ from snoscope.starlink import (
     PopHostnameError,
     build_pop_timeline,
     detect_changes,
-    hops_to_target,
     parse_pop_hostname,
+    path_sample,
     pop_rtt,
     verify_satellite_path,
 )
@@ -72,14 +72,6 @@ class TestPopHostnameGrammar:
             parse_pop_hostname(hostname)
 
 
-class TestHopsToTarget:
-    def test_reached(self):
-        assert hops_to_target(make_traceroute(reach_target=True)) == 4
-
-    def test_unreached(self):
-        assert hops_to_target(make_traceroute(reach_target=False)) is None
-
-
 def rdns_for(codes: dict[str, str]) -> dict[str, str]:
     return {ip: f"customer.{code}.pop.starlinkisp.net" for ip, code in codes.items()}
 
@@ -94,6 +86,11 @@ def measurement(stamp: str, src: str, rtts=None, probe_id: int = 1001, include_g
     )
 
 
+def timeline_of(ms, rdns):
+    """build_pop_timeline over the path samples of the measurements that crossed the gateway."""
+    return build_pop_timeline([s for s in (path_sample(m, rdns) for m in ms) if s is not None])
+
+
 class TestBuildPopTimeline:
     def test_consecutive_same_pop_coalesces(self):
         rdns = rdns_for({"98.0.1.10": "sydnaus1", "98.0.1.11": "akldnzl1"})
@@ -104,7 +101,7 @@ class TestBuildPopTimeline:
             measurement("2022-05-04T12:00:00Z", "98.0.1.11", [35.0]),
             measurement("2022-05-05T00:00:00Z", "98.0.1.10", [54.0]),
         ]
-        timeline = build_pop_timeline(ms, rdns)
+        timeline = timeline_of(ms, rdns)
         assert [a.pop_code for a in timeline] == ["sydnaus1", "akldnzl1", "sydnaus1"]
         assert timeline[0].n_measurements == 2
         assert timeline[0].start == ts("2022-05-03T00:00:00Z")
@@ -119,7 +116,7 @@ class TestBuildPopTimeline:
             measurement("2022-05-03T00:00:00Z", "98.0.1.10"),
             measurement("2022-05-04T00:00:00Z", "98.0.1.10"),
         ]
-        timeline = build_pop_timeline(ms, rdns)
+        timeline = timeline_of(ms, rdns)
         assert [a.pop_code for a in timeline] == ["sydnaus1", "akldnzl1"]
         assert timeline[0].n_measurements == 2
 
@@ -129,7 +126,7 @@ class TestBuildPopTimeline:
             measurement("2022-05-03T00:00:00Z", "98.0.1.10"),
             measurement("2022-05-03T12:00:00Z", "98.0.1.10", include_gateway=False),
         ]
-        timeline = build_pop_timeline(ms, rdns)
+        timeline = timeline_of(ms, rdns)
         assert len(timeline) == 1
         assert timeline[0].n_measurements == 1
 
@@ -139,7 +136,7 @@ class TestBuildPopTimeline:
             measurement("2022-05-03T00:00:00Z", "98.0.1.10"),  # no rdns row
             measurement("2022-05-03T12:00:00Z", "98.0.1.11"),  # non-PoP hostname
         ]
-        timeline = build_pop_timeline(ms, rdns)
+        timeline = timeline_of(ms, rdns)
         assert [a.pop_code for a in timeline] == [UNKNOWN_POP]
         assert timeline[0].n_measurements == 2
 
@@ -150,10 +147,17 @@ class TestBuildPopTimeline:
             measurement("2022-05-03T12:00:00Z", "98.0.1.10", probe_id=1002),
         ]
         with pytest.raises(ValueError, match="mixes probes"):
-            build_pop_timeline(ms, rdns)
+            timeline_of(ms, rdns)
 
     def test_empty_input(self):
-        assert build_pop_timeline([], {}) == []
+        assert build_pop_timeline([]) == []
+
+    def test_path_sample_of_a_measurement(self):
+        rdns = rdns_for({"98.0.1.10": "sydnaus1"})
+        sample = path_sample(measurement("2022-05-03T00:00:00Z", "98.0.1.10", [53.0, 51.0]), rdns)
+        assert (sample.probe_id, sample.timestamp, sample.dst_name) == (1001, ts("2022-05-03T00:00:00Z"), "k.root-servers.net")
+        assert (sample.pop_code, sample.rtt_ms) == ("sydnaus1", 52.0)
+        assert path_sample(measurement("2022-05-03T00:00:00Z", "98.0.1.10", include_gateway=False), rdns) is None
 
 
 def assignment(pop: str, start: str, rtts: list[float], probe_id: int = 1001, step_hours: float = 12.0):
