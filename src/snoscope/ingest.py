@@ -596,7 +596,11 @@ def _memo_hops(raw_hops: list[Any], ips: dict[str, IPAddress]) -> tuple[list[Hop
 
 
 def traceroute_from_dict(obj: Any, memo: ScalarMemo | None = None) -> TracerouteMeasurement:
-    """Build one traceroute; a stream parser passes its memo (see ScalarMemo and _memo_hops)."""
+    """Build one traceroute; a stream parser passes its memo (see ScalarMemo and _memo_hops).
+
+    Without a memo only the field-by-field validators run: they are the
+    reference that the stream's inline checks are tested against.
+    """
     ips, stamps = (None, None) if memo is None else (memo.ips, memo.stamps)
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")

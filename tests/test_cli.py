@@ -132,7 +132,8 @@ class TestSynthCommand:
             lambda spec: spec["traceroute_plans"][0].update(cadence_hours=1e20),
             # one step after the first measurement falls past year 9999
             lambda spec: spec["traceroute_plans"][0].update(
-                start="9999-12-31T00:00:00Z", end="9999-12-31T12:00:00Z", cadence_hours=24.0, periods=[{"pop": "a", "rtt_ms": 1.0}]
+                start="9999-12-31T00:00:00Z", end="9999-12-31T12:00:00Z", cadence_hours=24.0,
+                periods=[{"pop": "a", "rtt_ms": 1.0}],
             ),
         ],
         ids=["int sno", "null asn", "object profiles", "string component", "int as_path", "days past 9999", "1e20 cadence",

@@ -480,7 +480,9 @@ STAMPS = ["2022-05-03T00:00:00Z", "2022-05-03T01:00:00+01:00", "2022-05-03T00:00
 
 MISSING = object()
 # rtt_ms values around the edges of "a finite float >= 0", and none at all.
-RTT_VALUES = [1, 0, True, False, -1.5, -0.5, -0.0, 0.0, 2.5, math.nan, math.inf, -math.inf, 2**63, 2**64, 1e19, "1.5", None, MISSING]
+RTT_VALUES = [
+    1, 0, True, False, -1.5, -0.5, -0.0, 0.0, 2.5, math.nan, math.inf, -math.inf, 2**63, 2**64, 1e19, "1.5", None, MISSING,
+]
 # hop_no values other than the next number; REPEAT is the previous hop's (the last
 # hop's, for the first).
 REPEAT = object()

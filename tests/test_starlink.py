@@ -155,7 +155,8 @@ class TestBuildPopTimeline:
     def test_path_sample_of_a_measurement(self):
         rdns = rdns_for({"98.0.1.10": "sydnaus1"})
         sample = path_sample(measurement("2022-05-03T00:00:00Z", "98.0.1.10", [53.0, 51.0]), rdns)
-        assert (sample.probe_id, sample.timestamp, sample.dst_name) == (1001, ts("2022-05-03T00:00:00Z"), "k.root-servers.net")
+        assert (sample.probe_id, sample.timestamp) == (1001, ts("2022-05-03T00:00:00Z"))
+        assert sample.dst_name == "k.root-servers.net"
         assert (sample.pop_code, sample.rtt_ms) == ("sydnaus1", 52.0)
         assert path_sample(measurement("2022-05-03T00:00:00Z", "98.0.1.10", include_gateway=False), rdns) is None
 
