@@ -19,7 +19,7 @@ import os
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -28,6 +28,11 @@ from .catalog import SnoCatalog, make_bands
 from .ingest import (
     RecordError,
     TableError,
+    _as_bool,
+    _as_int,
+    _as_number,
+    _as_str,
+    _loads,
     parse_aspath_stream,
     parse_catalog,
     parse_pop_table,
@@ -60,51 +65,80 @@ def default_catalog_path() -> Path:
     return _packaged("catalog.json")
 
 
-def default_pop_table_path() -> Path:
-    return _packaged("pop_locations.csv")
-
-
-def default_synth_spec_path() -> Path:
-    return _packaged("default_synth_spec.json")
-
-
 # ---------------------------------------------------------------------------
 # options
+
+SYNTH, CLASSIFY = "synth", "classify"
+METRICS, TRACEROUTE, BGP = "report metrics", "report traceroute", "report bgp"
+CORPUS_READERS = (CLASSIFY, METRICS, TRACEROUTE, BGP)
+
+
+def _option(flag: str, readers: Sequence[str], help: str, default: Any = None, minimum: float | None = None) -> Any:
+    """An Options field: its default, its flag, the subcommands that read it, and its lower bound."""
+    return dataclasses.field(default=default, metadata={"flag": flag, "readers": readers, "help": help, "minimum": minimum})
+
+
+def _as_paths(value: Any, name: str) -> tuple[Path, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be an array of paths")
+    return tuple(Path(_as_str(item, name)) for item in value)
+
+
+# For each type an option is declared with: the check of a flag or config
+# value, given its name and lower bound, and the flag's argparse keywords.
+# `| None` only marks an option with no default; a null value is rejected.
+_OPTION_TYPES: dict[str, tuple[Callable[[Any, str, Any], Any], dict[str, Any]]] = {
+    "int": (lambda value, name, low: _as_int(value, name, minimum=low), {"type": int}),
+    "float": (lambda value, name, low: _as_number(value, name, minimum=low), {"type": float}),
+    "bool": (lambda value, name, low: _as_bool(value, name), {"action": "store_const", "const": True}),
+    "str": (lambda value, name, low: _as_str(value, name), {}),
+    "Path": (lambda value, name, low: Path(_as_str(value, name)), {}),
+    "tuple[Path, ...]": (lambda value, name, low: _as_paths(value, name), {"nargs": "+"}),
+}
 
 
 @dataclasses.dataclass
 class Options:
-    """Effective settings after merging config file and flags."""
+    """Every option, each declared once: type, default, flag, readers, bound.
 
-    inputs: list[Path]
-    out: Path
-    catalog: Path
-    pop_table: Path
-    seed: int | None = None
-    parallelism: int = 1
-    strict_parsing: bool = False
-    global_floor_ms: float = filtering.DEFAULT_GLOBAL_FLOOR_MS
-    min_tests: int = filtering.DEFAULT_MIN_TESTS
-    meo_min_ms: float = 200.0
-    geo_min_ms: float = 500.0
-    dispositions: Path | None = None
-    rdns: Path | None = None
-    registry: Path | None = None
-    sno: str | None = None
-    pops: Path | None = None
-    spec: Path | None = None
+    A subcommand registers the flags of the options it reads. Each of those
+    takes its flag's value, else the value of the config key named after the
+    field, else the default. Flag and config values pass the same checks.
+    """
+
+    out: Path | None = _option("--out", (SYNTH, *CORPUS_READERS), "output directory")
+    input: tuple[Path, ...] = _option("--input", CORPUS_READERS, "input data file(s)", default=())
+    seed: int | None = _option("--seed", (SYNTH,), "random seed override", minimum=0)
+    spec: Path = _option("--spec", (SYNTH,), "generator spec JSON (default: bundled)",
+                         default=_packaged("default_synth_spec.json"))
+    catalog: Path = _option("--catalog", (CLASSIFY, METRICS, BGP), "operator catalog JSON (default: bundled)",
+                            default=default_catalog_path())
+    parallelism: int = _option("--parallelism", (CLASSIFY,), "worker count (default 1)", default=1, minimum=1)
+    strict_parsing: bool = _option("--strict-parsing", CORPUS_READERS, "abort on the first malformed record",
+                                   default=False)
+    global_floor_ms: float = _option("--global-floor", (CLASSIFY,), "relaxed-stage fallback latency floor in ms",
+                                     default=filtering.DEFAULT_GLOBAL_FLOOR_MS, minimum=0.0)
+    min_tests: int = _option("--min-tests", (CLASSIFY,), "minimum sessions per /24 for the strict stage",
+                             default=filtering.DEFAULT_MIN_TESTS, minimum=1)
+    meo_min_ms: float = _option("--meo-min", (CLASSIFY,), "LEO/MEO band cut in ms", default=200.0)
+    geo_min_ms: float = _option("--geo-min", (CLASSIFY,), "MEO/GEO band cut in ms", default=500.0)
+    dispositions: Path | None = _option(
+        "--dispositions", (METRICS,),
+        "dispositions.ndjson of a classify run over --input, beside its manifest and session table")
+    rdns: Path | None = _option("--rdns", (TRACEROUTE,), "reverse DNS CSV (ip,hostname)")
+    pop_table: Path = _option("--pop-table", (TRACEROUTE,), "PoP location CSV (default: bundled)",
+                              default=_packaged("pop_locations.csv"))
+    sno: str | None = _option("--sno", (BGP,), "operator name from the catalog")
+    registry: Path | None = _option("--registry", (BGP,), "ASN registry CSV (asn,country_code)")
+    pops: Path | None = _option("--pops", (BGP,), "ground-truth PoP CSV to score coverage against")
 
     def validate(self) -> None:
-        if self.parallelism < 1:
-            raise ValueError("--parallelism must be >= 1")
-        if self.min_tests < 1:
-            raise ValueError("--min-tests must be >= 1")
-        if self.global_floor_ms < 0:
-            raise ValueError("--global-floor must be >= 0")
+        if self.out is None:
+            raise ValueError("an output directory is required (--out)")
         if not 0 < self.meo_min_ms < self.geo_min_ms:
             raise ValueError("band cut points must satisfy 0 < meo-min < geo-min")
         seen: set[Path] = set()
-        for path in self.inputs:
+        for path in self.input:
             resolved = path.resolve()
             if resolved in seen:
                 raise ValueError(f"input path given twice: {path}")
@@ -121,60 +155,47 @@ class Options:
         return "strict" if self.strict_parsing else "lenient"
 
 
+# Each option's field, value check and flag keywords, by config key.
+_OPTIONS = {f.name: (f, *_OPTION_TYPES[f.type.removesuffix(" | None")]) for f in dataclasses.fields(Options)}
+
+
+def _check_option(key: str, value: Any, name: str) -> Any:
+    field, check, _ = _OPTIONS[key]
+    return check(value, name, field.metadata["minimum"])
+
+
 def _load_config(path: str | None) -> dict[str, Any]:
+    """A config file's options, every key checked, whichever subcommand reads it."""
     if not path:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config {path}: invalid JSON: {exc.msg}") from None
+        obj = _loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"config {path}: must be a JSON object")
+    for key, value in obj.items():
+        if key not in _OPTIONS:
+            raise ValueError(f"config {path}: no subcommand reads the key {key!r}")
+        obj[key] = _check_option(key, value, f"config {path}: {key}")
     return obj
 
 
 def _merge_options(args: argparse.Namespace) -> Options:
-    """Resolve each option as flag > config file > default."""
-    config = _load_config(getattr(args, "config", None))
-
-    def pick(flag_name: str, config_key: str, default: Any) -> Any:
-        value = getattr(args, flag_name, None)
-        if value is not None:
-            return value
-        if config_key in config:
-            return config[config_key]
-        return default
-
-    inputs = [Path(p) for p in (getattr(args, "input", None) or config.get("input", []) or [])]
-    out = pick("out", "out", None)
-    if out is None:
-        raise ValueError("an output directory is required (--out)")
-    opts = Options(
-        inputs=inputs,
-        out=Path(out),
-        catalog=Path(pick("catalog", "catalog", default_catalog_path())),
-        pop_table=Path(pick("pop_table", "pop_table", default_pop_table_path())),
-        seed=pick("seed", "seed", None),
-        parallelism=int(pick("parallelism", "parallelism", 1)),
-        strict_parsing=bool(pick("strict_parsing", "strict_parsing", False)),
-        global_floor_ms=float(pick("global_floor", "global_floor_ms", filtering.DEFAULT_GLOBAL_FLOOR_MS)),
-        min_tests=int(pick("min_tests", "min_tests", filtering.DEFAULT_MIN_TESTS)),
-        meo_min_ms=float(pick("meo_min", "meo_min_ms", 200.0)),
-        geo_min_ms=float(pick("geo_min", "geo_min_ms", 500.0)),
-        dispositions=_opt_path(pick("dispositions", "dispositions", None)),
-        rdns=_opt_path(pick("rdns", "rdns", None)),
-        registry=_opt_path(pick("registry", "registry", None)),
-        sno=pick("sno", "sno", None),
-        pops=_opt_path(pick("pops", "pops", None)),
-        spec=_opt_path(pick("spec", "spec", None)),
-    )
+    """Resolve each option the subcommand reads as flag > config file > default."""
+    config = _load_config(args.config)
+    values: dict[str, Any] = {}
+    for key, (field, _, _) in _OPTIONS.items():
+        if args.subcommand not in field.metadata["readers"]:
+            continue
+        flag_value = getattr(args, key)
+        if flag_value is not None:
+            values[key] = _check_option(key, flag_value, field.metadata["flag"])
+        elif key in config:
+            values[key] = config[key]
+    opts = Options(**values)
     opts.validate()
     return opts
-
-
-def _opt_path(value: Any) -> Path | None:
-    return None if value is None else Path(value)
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +206,13 @@ def _load_catalog(opts: Options) -> SnoCatalog:
     return parse_catalog(opts.catalog)
 
 
-def _require_inputs(opts: Options, count: int, what: str) -> list[Path]:
-    if len(opts.inputs) != count:
+def _require_inputs(opts: Options, count: int, what: str) -> tuple[Path, ...]:
+    if len(opts.input) != count:
         raise ValueError(f"expected {count} --input path(s): {what}")
-    for path in opts.inputs:
+    for path in opts.input:
         if not path.is_file():
             raise OSError(f"input file not found: {path}")
-    return opts.inputs
+    return opts.input
 
 
 class ParseErrors:
@@ -249,10 +270,9 @@ def _write_manifest(out_dir: Path, files: Sequence[Path], extra: dict[str, Any])
 
 def cmd_synth(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
-    spec_path = opts.spec or default_synth_spec_path()
-    spec = synth.GeneratorSpec.from_file(spec_path)
+    spec = synth.GeneratorSpec.from_file(opts.spec)
     if opts.seed is not None:
-        spec = dataclasses.replace(spec, seed=int(opts.seed))
+        spec = dataclasses.replace(spec, seed=opts.seed)
     paths = synth.gen_corpus(spec, opts.out)
     total = sum(p.n_sessions for p in spec.profiles)
     print(f"synth: wrote {len(paths)} files to {opts.out} ({total} sessions, seed {spec.seed})")
@@ -385,8 +405,11 @@ def _load_classify_run(
         if sha256_file(path) != files[path.name].get("sha256"):
             raise ValueError(f"{path} does not match its digest in {manifest_path}")
     if strict and manifest.get("parse_errors"):
-        line_no, reason = manifest["parse_error_sample"][0]
-        raise RecordError(line_no, reason)
+        sample = manifest.get("parse_error_sample")
+        first = sample[0] if isinstance(sample, list) and sample else None
+        if not (isinstance(first, list) and len(first) == 2 and type(first[0]) is int and isinstance(first[1], str)):
+            raise ValueError(f"{manifest_path} counts parse errors but lists no [line, reason] sample; re-run classify")
+        raise RecordError(*first)
     return _load_dispositions(dispositions), metrics.load_session_table(table_path)
 
 
@@ -551,9 +574,9 @@ def cmd_report_traceroute(args: argparse.Namespace) -> int:
 
 def cmd_report_bgp(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
-    if len(opts.inputs) not in (1, 2):
+    if len(opts.input) not in (1, 2):
         raise ValueError("report bgp takes one AS-path snapshot file, or two to diff")
-    for path in opts.inputs:
+    for path in opts.input:
         if not path.is_file():
             raise OSError(f"input file not found: {path}")
     if opts.sno is None:
@@ -566,7 +589,7 @@ def cmd_report_bgp(args: argparse.Namespace) -> int:
     errors = ParseErrors()
     graphs = [
         bgp.build_graph(errors.skip(parse_aspath_stream(path, strictness=opts.strictness())), entry, registry)
-        for path in opts.inputs
+        for path in opts.input
     ]
 
     out = opts.out
@@ -618,21 +641,14 @@ def cmd_report_bgp(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its keys")
-    parser.add_argument("--input", nargs="+", help="input data file(s)")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, help="random seed override")
-    parser.add_argument("--parallelism", type=int, help="worker count (default 1)")
-    parser.add_argument("--strict-parsing", dest="strict_parsing", action="store_const", const=True,
-                        help="abort on the first malformed record")
-    parser.add_argument("--global-floor", dest="global_floor", type=float,
-                        help="relaxed-stage fallback latency floor in ms")
-    parser.add_argument("--min-tests", dest="min_tests", type=int,
-                        help="minimum sessions per /24 for the strict stage")
-    parser.add_argument("--catalog", help="operator catalog JSON (default: bundled)")
-    parser.add_argument("--meo-min", dest="meo_min", type=float, help="LEO/MEO band cut in ms")
-    parser.add_argument("--geo-min", dest="geo_min", type=float, help="MEO/GEO band cut in ms")
+def _add_subcommand(parent: Any, name: str, func: Callable[[argparse.Namespace], int], help: str) -> None:
+    """Register a subcommand with --config and the flags of the options it reads."""
+    command = parent.add_parser(name.split()[-1], help=help)
+    command.add_argument("--config", help="JSON config file; flags override its keys")
+    for key, (field, _, flag_kwargs) in _OPTIONS.items():
+        if name in field.metadata["readers"]:
+            command.add_argument(field.metadata["flag"], dest=key, help=field.metadata["help"], **flag_kwargs)
+    command.set_defaults(func=func, subcommand=name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -641,38 +657,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Identify satellite-operator traffic and characterize operator networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", help="generate a labeled synthetic corpus")
-    _add_common_flags(p_synth)
-    p_synth.add_argument("--spec", help="generator spec JSON (default: bundled)")
-    p_synth.set_defaults(func=cmd_synth)
-
-    p_classify = sub.add_parser("classify", help="run the filtering pipeline over a corpus")
-    _add_common_flags(p_classify)
-    p_classify.set_defaults(func=cmd_classify)
-
-    p_report = sub.add_parser("report", help="derive report tables from corpora")
-    report_sub = p_report.add_subparsers(dest="report_kind", required=True)
-
-    p_metrics = report_sub.add_parser("metrics", help="performance metric exports")
-    _add_common_flags(p_metrics)
-    p_metrics.add_argument("--dispositions",
-                           help="dispositions.ndjson of a classify run over --input, beside its manifest and session table")
-    p_metrics.set_defaults(func=cmd_report_metrics)
-
-    p_trace = report_sub.add_parser("traceroute", help="PoP timelines and change events")
-    _add_common_flags(p_trace)
-    p_trace.add_argument("--rdns", help="reverse DNS CSV (ip,hostname)")
-    p_trace.add_argument("--pop-table", dest="pop_table", help="PoP location CSV (default: bundled)")
-    p_trace.set_defaults(func=cmd_report_traceroute)
-
-    p_bgp = report_sub.add_parser("bgp", help="peering graph, countries, and diffs")
-    _add_common_flags(p_bgp)
-    p_bgp.add_argument("--sno", help="operator name from the catalog")
-    p_bgp.add_argument("--registry", help="ASN registry CSV (asn,country_code)")
-    p_bgp.add_argument("--pops", help="ground-truth PoP CSV to score coverage against")
-    p_bgp.set_defaults(func=cmd_report_bgp)
-
+    _add_subcommand(sub, SYNTH, cmd_synth, "generate a labeled synthetic corpus")
+    _add_subcommand(sub, CLASSIFY, cmd_classify, "run the filtering pipeline over a corpus")
+    report = sub.add_parser("report", help="derive report tables from corpora")
+    report_sub = report.add_subparsers(dest="report_kind", required=True)
+    _add_subcommand(report_sub, METRICS, cmd_report_metrics, "performance metric exports")
+    _add_subcommand(report_sub, TRACEROUTE, cmd_report_traceroute, "PoP timelines and change events")
+    _add_subcommand(report_sub, BGP, cmd_report_bgp, "peering graph, countries, and diffs")
     return parser
 
 

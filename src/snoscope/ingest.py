@@ -227,6 +227,12 @@ def _as_int(value: Any, name: str, minimum: int | None = None, maximum: int | No
     return value
 
 
+def _as_bool(value: Any, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a boolean")
+    return value
+
+
 def _as_number(value: Any, name: str, minimum: float | None = None, strict_min: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number")
@@ -670,6 +676,9 @@ def traceroute_to_json(m: TracerouteMeasurement) -> str:
 
 def aspath_from_line(line: str, memo: ScalarMemo | None = None) -> AsPathRecord:
     """Parse one AS-path line; a stream parser passes its memo (see ScalarMemo)."""
+    # With the line ASCII, isdigit() below accepts only the digits 0-9.
+    if not line.isascii():
+        raise ValueError("AS-path line must be ASCII")
     tokens = line.split()
     if len(tokens) < 2:
         raise ValueError("expected '<timestamp> <asn> [<asn> ...]'")
@@ -715,9 +724,9 @@ def parse_catalog(source: Source) -> SnoCatalog:
     """Load the operator catalog from a JSON array of entry objects."""
     text = _read_all(source)
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TableError(f"catalog is not valid JSON: {exc.msg}") from None
+        raw = _loads(text)
+    except ValueError as exc:
+        raise TableError(f"catalog: {exc}") from None
     if not isinstance(raw, list):
         raise TableError("catalog must be a JSON array")
     entries = []
@@ -729,20 +738,18 @@ def parse_catalog(source: Source) -> SnoCatalog:
             raw_asns = _require(obj, "asns")
             if not isinstance(raw_asns, list) or not raw_asns:
                 raise ValueError("asns must be a non-empty array")
-            asns = frozenset(_as_int(a, "asn", minimum=1) for a in raw_asns)
+            asns = frozenset(_as_int(a, "asn", minimum=1, maximum=MAX_ASN) for a in raw_asns)
             raw_orbits = _require(obj, "orbits")
             if not isinstance(raw_orbits, list) or not raw_orbits:
                 raise ValueError("orbits must be a non-empty array")
             for orbit in raw_orbits:
                 if orbit not in ORBITS:
                     raise ValueError(f"unknown orbit token {orbit!r}")
-            pep = obj.get("pep", False)
-            if not isinstance(pep, bool):
-                raise ValueError("pep must be a boolean")
+            pep = _as_bool(obj.get("pep", False), "pep")
             raw_excluded = obj.get("excluded_asns", [])
             if not isinstance(raw_excluded, list):
                 raise ValueError("excluded_asns must be an array")
-            excluded = frozenset(_as_int(a, "excluded asn", minimum=1) for a in raw_excluded)
+            excluded = frozenset(_as_int(a, "excluded asn", minimum=1, maximum=MAX_ASN) for a in raw_excluded)
             entries.append(SnoEntry(name, asns, frozenset(raw_orbits), pep, excluded))
         except ValueError as exc:
             raise TableError(f"catalog entry {i}: {exc}") from None
@@ -780,7 +787,7 @@ def parse_registry(source: Source) -> dict[int, str]:
     out: dict[int, str] = {}
     for line_no, cells in _csv_rows(source, ("asn", "country_code")):
         raw_asn, raw_cc = cells
-        if not raw_asn.isdigit() or int(raw_asn) < 1:
+        if not (raw_asn.isascii() and raw_asn.isdigit()) or not 1 <= int(raw_asn) <= MAX_ASN:
             raise TableError(f"row {line_no}: bad ASN {raw_asn!r}")
         cc = raw_cc.upper()
         if len(cc) != 2 or not cc.isalpha():

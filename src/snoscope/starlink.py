@@ -32,30 +32,8 @@ DEFAULT_SHIFT_THRESHOLD = 0.25
 DEFAULT_SHIFT_WINDOW = 50
 
 
-class NoGatewayError(ValueError):
-    """The measurement never crossed the satellite gateway."""
-
-
 class PopHostnameError(ValueError):
     """A hostname does not follow the customer PoP naming scheme."""
-
-
-def verify_satellite_path(m: TracerouteMeasurement, gateway: IPAddress = GATEWAY_IP) -> bool:
-    """Whether any hop reply came from the satellite gateway address."""
-    return any(reply.ip == gateway for hop in m.hops for reply in hop.replies)
-
-
-def pop_rtt(m: TracerouteMeasurement, gateway: IPAddress = GATEWAY_IP) -> float:
-    """Median RTT of the gateway hop's replies: dish -> PoP round trip."""
-    rtts = [
-        reply.rtt_ms
-        for hop in m.hops
-        for reply in hop.replies
-        if reply.ip == gateway and reply.rtt_ms is not None
-    ]
-    if not rtts:
-        raise NoGatewayError(f"probe {m.probe_id}: no gateway reply in measurement")
-    return percentile(rtts, 0.5)
 
 
 def parse_pop_hostname(hostname: str) -> str:
@@ -126,15 +104,22 @@ def path_sample(
     rdns: Mapping[str, str],
     gateway: IPAddress = GATEWAY_IP,
 ) -> PathSample | None:
-    """What a PoP timeline needs of one measurement, or None if it never crossed the gateway.
+    """What a PoP timeline needs of one measurement, or None if no gateway reply has an RTT.
 
     A path that did not cross the gateway did not ride the satellite
-    network. A source address with no usable reverse DNS gets the "unknown"
-    PoP code, so gaps stay visible.
+    network. The sample's RTT is the median of the gateway's replies: the
+    dish -> PoP round trip. A source address with no usable reverse DNS gets
+    the "unknown" PoP code, so gaps stay visible.
     """
-    if not verify_satellite_path(m, gateway):
+    rtts = [
+        reply.rtt_ms
+        for hop in m.hops
+        for reply in hop.replies
+        if reply.ip == gateway and reply.rtt_ms is not None
+    ]
+    if not rtts:
         return None
-    return PathSample(m.probe_id, m.timestamp, m.dst_name, _pop_of(m, rdns), pop_rtt(m, gateway))
+    return PathSample(m.probe_id, m.timestamp, m.dst_name, _pop_of(m, rdns), percentile(rtts, 0.5))
 
 
 def build_pop_timeline(samples: Iterable[PathSample]) -> list[PopAssignment]:

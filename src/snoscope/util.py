@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import secrets
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -11,18 +12,31 @@ from pathlib import Path
 from typing import IO, Iterator
 
 
+# RFC 3339 section 5.6 date-time, with a fraction of at most 6 digits.
+_RFC3339_RE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt][0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.([0-9]{1,6}))?"
+    r"([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])"
+)
+
+
 def parse_rfc3339(text: str) -> datetime:
-    """Parse an RFC 3339 timestamp into an aware UTC datetime."""
-    raw = text.strip()
-    # Python 3.10 fromisoformat rejects the Z suffix.
-    if raw.endswith(("Z", "z")):
-        raw = raw[:-1] + "+00:00"
+    """Parse an RFC 3339 timestamp into an aware UTC datetime.
+
+    The text must match RFC 3339's date-time as a whole: a T or t
+    separator, a fraction of 1 to 6 digits, and a Z, z or +HH:MM/-HH:MM
+    offset. fromisoformat only converts a matched text, rewritten into the
+    form every Python version reads, so the accepted set does not depend
+    on the interpreter.
+    """
+    match = _RFC3339_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"bad RFC 3339 timestamp: {text!r}")
+    fraction, offset = match.groups()
+    iso = text[:19] + ("." + fraction.ljust(6, "0") if fraction else "") + ("+00:00" if offset in ("Z", "z") else offset)
     try:
-        stamp = datetime.fromisoformat(raw)
+        stamp = datetime.fromisoformat(iso)
     except ValueError:
         raise ValueError(f"bad RFC 3339 timestamp: {text!r}") from None
-    if stamp.tzinfo is None:
-        raise ValueError(f"timestamp lacks a UTC offset: {text!r}")
     try:
         return stamp.astimezone(timezone.utc)
     except OverflowError:

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
+import dataclasses
 import json
 import random
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import HOSTILE_LINES, make_session
-from snoscope.cli import main
+from snoscope.cli import Options, build_parser, default_catalog_path, main
 from snoscope.ingest import CHUNK_LINES, parse_speedtest_stream, session_to_json
 from snoscope.metrics import SESSION_TABLE_DTYPE, session_metrics
 from snoscope.util import sha256_file
@@ -453,6 +457,21 @@ class TestReportMetrics:
         assert not out.exists()
         assert report_metrics(corrupted, dispositions, out) == 0
 
+    @pytest.mark.parametrize("sample", [[], None, "line 2", [[]], [["2", "bad"]], [[2]]])
+    def test_strict_refuses_a_manifest_with_a_malformed_error_sample(self, corpus_dir, tmp_path, sample, capsys):
+        corrupted = with_bad_line(corpus_dir, tmp_path)
+        classified = tmp_path / "classified"
+        assert main(["classify", "--input", str(corrupted), "--out", str(classified)]) == 0
+        manifest_path = classified / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["parse_error_sample"] = sample
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert report_metrics(corrupted, classified / "dispositions.ndjson", out, "--strict-parsing") == 2
+        assert "lists no [line, reason] sample" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_dispositions(self, corpus_dir, tmp_path, capsys):
         code = main(
             [
@@ -741,3 +760,190 @@ class TestArgumentSurface:
         out = tmp_path / "out"
         code = main(["classify", "--input", str(corpus_dir / "speedtests.ndjson"), "--out", str(out)])
         assert code == 0
+
+
+# The flags each subcommand registers: exactly the options it reads, plus --config.
+FLAGS = {
+    ("synth",): {"--config", "--out", "--seed", "--spec"},
+    ("classify",): {"--config", "--input", "--out", "--catalog", "--parallelism", "--strict-parsing",
+                    "--global-floor", "--min-tests", "--meo-min", "--geo-min"},
+    ("report", "metrics"): {"--config", "--input", "--out", "--dispositions", "--catalog", "--strict-parsing"},
+    ("report", "traceroute"): {"--config", "--input", "--out", "--rdns", "--pop-table", "--strict-parsing"},
+    ("report", "bgp"): {"--config", "--input", "--out", "--sno", "--registry", "--pops", "--catalog",
+                        "--strict-parsing"},
+}
+
+
+def registered_flags(parser, path):
+    for name in path:
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = subparsers.choices[name]
+    return {a.option_strings[-1] for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
+def classify_with_config(corpus_dir, tmp_path, config, *extra):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = ["classify", "--config", str(path), "--input", str(corpus_dir / "speedtests.ndjson"), "--out", str(out)]
+    return main(argv + list(extra)), out
+
+
+class TestOptionTable:
+    def test_each_subcommand_registers_only_the_flags_it_reads(self):
+        parser = build_parser()
+        assert {path: registered_flags(parser, path) for path in FLAGS} == FLAGS
+        assert sum(len(flags) for flags in FLAGS.values()) == 34
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "traceroute", "--min-tests", "3"],
+            ["synth", "--strict-parsing"],
+            ["report", "bgp", "--parallelism", "8"],
+            ["report", "metrics", "--seed", "1"],
+            ["classify", "--pop-table", "pops.csv"],
+        ],
+    )
+    def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(self, tmp_path, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--out", str(tmp_path / "o")])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"strict_parsing": "false"}, "strict_parsing"),
+            ({"strict_parsing": 0}, "strict_parsing"),
+            ({"min_tests": 2.7}, "min_tests"),
+            ({"min_tests": True}, "min_tests"),
+            ({"min_tests": [1]}, "min_tests"),
+            ({"min_test": 3}, "min_test"),
+            ({"parallelism": None}, "parallelism"),
+            ({"parallelism": 0}, "parallelism"),
+            ({"catalog": [1]}, "catalog"),
+            ({"out": 5}, "out"),
+            ({"input": "corpus/speedtests.ndjson"}, "input"),
+            ({"input": [3]}, "input"),
+            ({"global_floor_ms": "527"}, "global_floor_ms"),
+            ({"geo_min_ms": 1e400}, "geo_min_ms"),
+            ({"seed": -1}, "seed"),
+            ({"rdns": 5}, "rdns"),  # read by another subcommand, and still checked
+            ({"sno": ""}, "sno"),
+        ],
+    )
+    def test_bad_config_value_is_an_input_error(self, corpus_dir, tmp_path, config, key, capsys):
+        code, out = classify_with_config(corpus_dir, tmp_path, config)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ") and key in err
+        assert not out.exists()
+
+    def test_config_checked_even_where_a_flag_overrides_it(self, corpus_dir, tmp_path, capsys):
+        code, out = classify_with_config(corpus_dir, tmp_path, {"min_tests": 2.7}, "--min-tests", "3")
+        assert code == 2
+        assert "min_tests must be an integer" in capsys.readouterr().err
+
+    def test_config_keys_of_other_subcommands_are_allowed(self, corpus_dir, tmp_path):
+        config = {"min_tests": 3, "strict_parsing": False, "seed": 5, "rdns": "rdns.csv", "sno": "starlink"}
+        code, out = classify_with_config(corpus_dir, tmp_path, config)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["min_tests"], manifest["strictness"]) == (3, "lenient")
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--global-floor", "nan"], "--global-floor must be finite"),
+            (["--global-floor", "inf"], "--global-floor must be finite"),
+            (["--geo-min", "inf"], "--geo-min must be finite"),
+            (["--meo-min=-inf"], "--meo-min must be finite"),
+            (["--min-tests", "0"], "--min-tests must be >= 1"),
+        ],
+    )
+    def test_non_finite_or_out_of_bound_flag_is_an_input_error(self, corpus_dir, tmp_path, extra, message, capsys):
+        out = tmp_path / "o"
+        assert main(["classify", "--input", str(corpus_dir / "speedtests.ndjson"), "--out", str(out)] + extra) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_argv(tmp_path_factory, spec_file, corpus_dir, classify_dir, registry_file, snapshots, bundled_pop_table):
+    """Per subcommand: an argv that passes every path option as a flag, and its config file."""
+    work = tmp_path_factory.mktemp("fuzz")
+    config = work / "config.json"
+    catalog = ["--catalog", str(default_catalog_path())]
+    speedtests = ["--input", str(corpus_dir / "speedtests.ndjson")]
+    argvs = {
+        "synth": ["synth", "--spec", str(spec_file)],
+        "classify": ["classify", *speedtests, *catalog],
+        "report metrics": ["report", "metrics", *speedtests, *catalog,
+                           "--dispositions", str(classify_dir / "dispositions.ndjson")],
+        "report traceroute": ["report", "traceroute", "--input", str(corpus_dir / "traceroutes.ndjson"),
+                              "--rdns", str(corpus_dir / "rdns.csv"), "--pop-table", str(bundled_pop_table)],
+        "report bgp": ["report", "bgp", "--input", *map(str, snapshots), "--sno", "starlink",
+                       "--registry", str(registry_file), "--pops", str(bundled_pop_table), *catalog],
+    }
+    return config, {name: argv + ["--config", str(config), "--out", str(work / "out")] for name, argv in argvs.items()}
+
+
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+# Small values of each option type, drawn often enough that many configs pass their checks and run.
+TYPED_JSON = {
+    "int": st.integers(0, 30),
+    "float": st.floats(0.0, 1000.0),
+    "bool": st.booleans(),
+    "str": st.text(min_size=1, max_size=8),
+    "Path": st.text(min_size=1, max_size=8),
+    "tuple[Path, ...]": st.lists(st.text(min_size=1, max_size=8), max_size=2),
+}
+OPTION_FIELDS = {f.name: f for f in dataclasses.fields(Options)}
+
+
+def mostly(common, rare):
+    """Draws from common three times in four, else from rare."""
+    return st.sampled_from([common, common, common, rare]).flatmap(lambda strategy: strategy)
+
+
+def config_value(key):
+    """Any JSON value; for an option key, mostly one of its own type."""
+    if key not in OPTION_FIELDS:
+        return ANY_JSON
+    return mostly(TYPED_JSON[OPTION_FIELDS[key].type.removesuffix(" | None")], ANY_JSON)
+
+
+def bounded_parallelism(config):
+    """A valid parallelism drawn above 4 is folded into 1..4; invalid values stay."""
+    value = config.get("parallelism")
+    if type(value) is int and value >= 1:
+        config["parallelism"] = 1 + (value - 1) % 4
+    return config
+
+
+# Any JSON object whose keys are option keys or random strings.
+CONFIGS = (
+    st.lists(mostly(st.sampled_from(sorted(OPTION_FIELDS)), st.text(max_size=10)), max_size=4, unique=True)
+    .flatmap(lambda keys: st.fixed_dictionaries({key: config_value(key) for key in keys}))
+    .map(bounded_parallelism)
+)
+
+
+@pytest.mark.parametrize("subcommand", [" ".join(path) for path in FLAGS])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=CONFIGS)
+def test_any_config_exits_0_or_2(fuzz_argv, subcommand, config, capsys):
+    path, argvs = fuzz_argv
+    path.write_text(json.dumps(config))
+    try:
+        code = main(argvs[subcommand])
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 2), config

@@ -433,6 +433,13 @@ class TestAsPathRecords:
         with pytest.raises(ValueError):
             aspath_from_line("2023-01-01T00:00:00Z")
 
+    def test_non_ascii_digits_rejected(self):
+        # Arabic-Indic digits for 14593: str.isdigit() is true for them, and int() reads them.
+        line = "2021-03-01T00:00:00Z 3356 \u0661\u0664\u0665\u0669\u0663"
+        with pytest.raises(ValueError, match="ASCII"):
+            aspath_from_line(line)
+        assert [type(r) for r in parse_aspath_stream([line])] == [RecordError]
+
     def test_stream_skips_comments_and_blanks(self):
         lines = [
             "# collector dump",
@@ -616,6 +623,8 @@ class TestCatalogTable:
             {"name": "op", "asns": [1], "orbits": ["HEO"]},
             {"name": "op", "asns": [1], "orbits": ["GEO"], "pep": "yes"},
             {"name": "", "asns": [1], "orbits": ["GEO"]},
+            {"name": "op", "asns": [2**32], "orbits": ["GEO"]},
+            {"name": "op", "asns": [1], "orbits": ["GEO"], "excluded_asns": [2**32]},
         ],
     )
     def test_malformed_entries_raise_table_error(self, entry):
@@ -636,6 +645,14 @@ class TestCatalogTable:
         with pytest.raises(TableError):
             parse_catalog(["{not json"])
 
+    def test_deeply_nested_json_raises_table_error(self):
+        with pytest.raises(TableError, match="nested too deeply"):
+            parse_catalog(["[" * 100_000])
+
+    def test_asns_up_to_32_bits_accepted(self):
+        text = json.dumps([{"name": "op", "asns": [2**32 - 1], "orbits": ["GEO"], "excluded_asns": [2**32 - 2]}])
+        assert parse_catalog([text]).get("op").asns == frozenset({2**32 - 1})
+
 
 class TestRegistryTable:
     def test_header_optional_and_case_normalized(self):
@@ -652,6 +669,12 @@ class TestRegistryTable:
     def test_bad_rows_raise(self, row):
         with pytest.raises(TableError):
             parse_registry(csv_src(row))
+
+    @pytest.mark.parametrize("raw_asn", [str(2**32), "99999999999999999999", "\u0661\u0664\u0665\u0669\u0663", "\u00b9"])
+    def test_asn_must_be_ascii_digits_within_32_bits(self, raw_asn):
+        assert parse_registry(csv_src(f"{2**32 - 1},US")) == {2**32 - 1: "US"}
+        with pytest.raises(TableError, match="bad ASN"):
+            parse_registry(csv_src(f"{raw_asn},US"))
 
 
 class TestPopTable:

@@ -8,38 +8,40 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from helpers import make_traceroute, ts
+from snoscope.ingest import HopReply
 from snoscope.starlink import (
     EVENT_LATENCY_SHIFT,
+    GATEWAY_IP,
     EVENT_POP_CHANGE,
     UNKNOWN_POP,
-    NoGatewayError,
     PopAssignment,
     PopHostnameError,
     build_pop_timeline,
     detect_changes,
     parse_pop_hostname,
     path_sample,
-    pop_rtt,
-    verify_satellite_path,
 )
 
 
 class TestGatewayDetection:
     def test_gateway_hop_proves_satellite_path(self):
-        assert verify_satellite_path(make_traceroute()) is True
+        assert path_sample(make_traceroute(), {}) is not None
 
     def test_no_gateway_hop(self):
-        assert verify_satellite_path(make_traceroute(include_gateway=False)) is False
+        assert path_sample(make_traceroute(include_gateway=False), {}) is None
 
     def test_pop_rtt_is_median_of_gateway_replies(self):
         m = make_traceroute(gateway_rtts=[53.0, 52.0, 57.0])
-        assert pop_rtt(m) == 53.0
+        assert path_sample(m, {}).rtt_ms == 53.0
         m = make_traceroute(gateway_rtts=[50.0, 60.0])
-        assert pop_rtt(m) == 55.0
+        assert path_sample(m, {}).rtt_ms == 55.0
 
-    def test_pop_rtt_without_gateway_raises(self):
-        with pytest.raises(NoGatewayError):
-            pop_rtt(make_traceroute(include_gateway=False))
+    def test_gateway_replies_without_rtt_give_no_sample(self):
+        m = make_traceroute(gateway_rtts=[53.0])
+        m.hops[1].replies[0].rtt_ms = None
+        assert path_sample(m, {}) is None
+        m.hops[1].replies.append(HopReply(ip=GATEWAY_IP, rtt_ms=61.0))
+        assert path_sample(m, {}).rtt_ms == 61.0
 
 
 class TestPopHostnameGrammar:

@@ -41,6 +41,64 @@ class TestParseRfc3339:
             parse_rfc3339("yesterday")
 
 
+UTC = timezone.utc
+
+
+class TestRfc3339Grammar:
+    """RFC 3339 date-time only, whichever forms the interpreter's fromisoformat reads."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("2021-03-01T00:00:00Z", datetime(2021, 3, 1, tzinfo=UTC)),
+            ("2021-03-01t00:00:00z", datetime(2021, 3, 1, tzinfo=UTC)),
+            ("2021-03-01T00:00:00.5Z", datetime(2021, 3, 1, 0, 0, 0, 500000, tzinfo=UTC)),
+            ("2021-03-01T00:00:00.12Z", datetime(2021, 3, 1, 0, 0, 0, 120000, tzinfo=UTC)),
+            ("2021-03-01T00:00:00.1234Z", datetime(2021, 3, 1, 0, 0, 0, 123400, tzinfo=UTC)),
+            ("2021-03-01T00:00:00.000001Z", datetime(2021, 3, 1, 0, 0, 0, 1, tzinfo=UTC)),
+            ("2021-03-01T05:30:00+05:30", datetime(2021, 3, 1, tzinfo=UTC)),
+            ("2021-02-28T23:59:00-00:01", datetime(2021, 3, 1, tzinfo=UTC)),
+            ("2021-03-01T23:59:59-23:59", datetime(2021, 3, 2, 23, 58, 59, tzinfo=UTC)),
+            ("2020-02-29T00:00:00Z", datetime(2020, 2, 29, tzinfo=UTC)),
+        ],
+    )
+    def test_accepted(self, text, expected):
+        stamp = parse_rfc3339(text)
+        assert stamp == expected and stamp.utcoffset() == timedelta(0)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "20210301T000000Z",  # basic format
+            "2021-W09-1T00:00:00Z",  # ISO week date
+            "2021-060T00:00:00Z",  # ordinal date
+            "2021-03-01T00Z",  # hour only
+            "2021-03-01T00:00Z",  # no seconds
+            "2021-03-01T00:00:00,5Z",  # comma decimal
+            "2021-03-01T00:00:00.Z",  # empty fraction
+            "2021-03-01T00:00:00.1234567Z",  # beyond microseconds
+            "2021-03-01T00:00:00+0000",  # offset without a colon
+            "2021-03-01T00:00:00+00",  # hour-only offset
+            "2021-03-01T00:00:00+24:00",
+            "2021-03-01T00:00:00+00:60",
+            "2021-03-01T00:00:00",  # no offset
+            "2021-03-01 00:00:00Z",  # space separator
+            "2021-03-01_00:00:00Z",
+            " 2021-03-01T00:00:00Z",
+            "2021-03-01T00:00:00Z\n",
+            "2021-3-01T00:00:00Z",
+            "2021-02-29T00:00:00Z",
+            "2021-03-01T24:00:00Z",
+            "2021-03-01T00:00:60Z",  # leap second
+            "0000-01-01T00:00:00Z",
+            "\uff12\uff10\uff12\uff11-03-01T00:00:00Z",  # fullwidth digits
+        ],
+    )
+    def test_rejected(self, text):
+        with pytest.raises(ValueError, match="bad RFC 3339 timestamp"):
+            parse_rfc3339(text)
+
+
 class TestFormatRfc3339:
     def test_round_trip(self):
         for text in ("2021-03-01T12:30:45Z", "2021-12-31T23:59:59.000001Z"):
