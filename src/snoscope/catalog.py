@@ -93,10 +93,6 @@ class SnoEntry:
         if overlap:
             raise ValueError(f"{self.name!r} lists ASNs as both subscriber and excluded: {sorted(overlap)}")
 
-    @property
-    def all_asns(self) -> frozenset[int]:
-        return self.asns | self.excluded_asns
-
     def orbit_label(self) -> str:
         """Declared orbits joined in LEO < MEO < GEO order, e.g. "MEO+GEO"."""
         return "+".join(o for o in ORBITS if o in self.orbits)
@@ -146,10 +142,6 @@ class SnoCatalog:
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
-
-    def asn_count(self) -> int:
-        """Total mapped ASNs, subscriber and excluded alike."""
-        return len(self._by_asn)
 
 
 def build_catalog(

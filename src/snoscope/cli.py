@@ -10,6 +10,7 @@ variable (a standard logging level name).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -38,7 +39,7 @@ from .ingest import (
     parse_pop_table,
     parse_rdns,
     parse_registry,
-    parse_speedtest_stream,
+    parse_speedtest_rows,
     parse_traceroute_stream,
 )
 from .util import atomic_write, format_rfc3339, sha256_file
@@ -113,7 +114,8 @@ class Options:
                          default=_packaged("default_synth_spec.json"))
     catalog: Path = _option("--catalog", (CLASSIFY, METRICS, BGP), "operator catalog JSON (default: bundled)",
                             default=default_catalog_path())
-    parallelism: int = _option("--parallelism", (CLASSIFY,), "worker count (default 1)", default=1, minimum=1)
+    parallelism: int | None = _option("--parallelism", (CLASSIFY,),
+                                      "worker processes for the speed-test parse (default: the usable CPUs)", minimum=1)
     strict_parsing: bool = _option("--strict-parsing", CORPUS_READERS, "abort on the first malformed record",
                                    default=False)
     global_floor_ms: float = _option("--global-floor", (CLASSIFY,), "relaxed-stage fallback latency floor in ms",
@@ -290,15 +292,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
     errors = ParseErrors()
     digest = hashlib.sha256()
     table = metrics.SessionTableBuilder()
-    sessions = errors.skip(parse_speedtest_stream(speedtests_path, strictness=opts.strictness(), digest=digest))
-    corpus = filtering.run_pipeline(
-        table.measure(sessions),
-        catalog,
-        min_tests=opts.min_tests,
-        global_floor_ms=opts.global_floor_ms,
-        bands=opts.bands(),
-        workers=opts.parallelism,
-    )
+    rows = parse_speedtest_rows(speedtests_path, opts.strictness(), digest, opts.parallelism)
+    with contextlib.closing(rows):  # its worker processes end with it
+        corpus = filtering.run_pipeline(table.measure(errors.skip(rows)), catalog, min_tests=opts.min_tests,
+                                        global_floor_ms=opts.global_floor_ms, bands=opts.bands())
     anomalies = profiling.flag_asn_anomalies(catalog, corpus.asn_latencies, bands=opts.bands())
 
     out = opts.out
@@ -394,15 +391,19 @@ def _load_classify_run(
         raise OSError(f"no classify manifest beside {dispositions}: {manifest_path} not found")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     files = manifest.get("files") if isinstance(manifest, dict) else None
-    if not isinstance(files, dict) or not isinstance(manifest.get("input"), dict):
+    if not isinstance(files, dict):
         raise ValueError(f"{manifest_path} lacks the input and file digests; re-run classify")
     for path in (dispositions, table_path):
         if path.name not in files or not path.is_file():
             raise OSError(f"{path} not found, or not listed in {manifest_path}; re-run classify")
-    if sha256_file(speedtests) != manifest["input"].get("sha256"):
+    recorded = {"its input": manifest.get("input"), **{p.name: files[p.name] for p in (dispositions, table_path)}}
+    for what, entry in recorded.items():
+        if not (isinstance(entry, dict) and isinstance(entry.get("sha256"), str)):
+            raise ValueError(f"{manifest_path} records no sha256 string for {what}; re-run classify")
+    if sha256_file(speedtests) != manifest["input"]["sha256"]:
         raise ValueError(f"--input {speedtests} is not the corpus that classify read for {dispositions}")
     for path in (dispositions, table_path):
-        if sha256_file(path) != files[path.name].get("sha256"):
+        if sha256_file(path) != files[path.name]["sha256"]:
             raise ValueError(f"{path} does not match its digest in {manifest_path}")
     if strict and manifest.get("parse_errors"):
         sample = manifest.get("parse_error_sample")

@@ -13,13 +13,11 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from datetime import datetime
-from ipaddress import IPv4Address, IPv4Network
+from ipaddress import IPv4Network
 from typing import Iterable, Mapping, Sequence
 
 from .catalog import DEFAULT_BANDS, ORBITS, ROLE_SUBSCRIBER, OrbitBand, SnoCatalog, SnoEntry
-from .ingest import IPAddress, SpeedTestSession
-from .profiling import access_latency
+from .ingest import SessionRow, SpeedTestSession, session_row
 
 # Relaxed-stage fallback when no prefix passes the strict stage: the lowest
 # latency observed among strictly accepted sessions of any MEO/GEO operator.
@@ -41,16 +39,15 @@ REASON_BELOW_THRESHOLD = "below_threshold"
 class SessionRef:
     """The slice of a session the filter stages need.
 
-    index is the session's position in run_pipeline's input (-1 for a ref
-    built outside a pipeline run); its disposition carries it on. It is
-    bookkeeping, so equality ignores it.
+    ipv4 is the client address as an int, -1 for IPv6. index is the
+    session's position in run_pipeline's input (-1 outside a pipeline run);
+    its disposition carries it on. Equality ignores this bookkeeping.
     """
 
     session_id: str
     sno: str
-    client_ip: IPAddress
+    ipv4: int
     access_latency_ms: float
-    timestamp: datetime
     index: int = field(default=-1, compare=False)
 
 
@@ -72,17 +69,16 @@ def group_prefix24(sessions: Iterable[SessionRef]) -> tuple[list[PrefixGroup], l
 
     Returns (groups sorted by operator then prefix, excluded IPv6 sessions).
     """
-    buckets: dict[tuple[str, IPv4Network], list[SessionRef]] = {}
+    buckets: dict[tuple[str, int], list[SessionRef]] = {}  # keyed by operator and address >> 8
     ipv6: list[SessionRef] = []
     for ref in sessions:
-        if not isinstance(ref.client_ip, IPv4Address):
+        if ref.ipv4 < 0:
             ipv6.append(ref)
             continue
-        prefix = IPv4Network((int(ref.client_ip) & 0xFFFFFF00, 24))
-        buckets.setdefault((ref.sno, prefix), []).append(ref)
+        buckets.setdefault((ref.sno, ref.ipv4 >> 8), []).append(ref)
     groups = [
-        PrefixGroup(sno=sno, prefix=prefix, sessions=refs)
-        for (sno, prefix), refs in sorted(buckets.items(), key=lambda kv: (kv[0][0], kv[0][1]))
+        PrefixGroup(sno=sno, prefix=IPv4Network((prefix << 8, 24)), sessions=refs)
+        for (sno, prefix), refs in sorted(buckets.items(), key=lambda kv: kv[0])
     ]
     return groups, ipv6
 
@@ -224,18 +220,19 @@ def _filter_sno(
 
 
 def run_pipeline(
-    sessions: Iterable[SpeedTestSession],
+    rows: Iterable[SessionRow | SpeedTestSession],
     catalog: SnoCatalog,
     min_tests: int = DEFAULT_MIN_TESTS,
     global_floor_ms: float = DEFAULT_GLOBAL_FLOOR_MS,
     bands: Mapping[str, OrbitBand] | None = None,
     workers: int = 1,
 ) -> ClassifiedCorpus:
-    """Classify a corpus of sessions against an operator catalog.
+    """Classify a corpus of session rows against an operator catalog.
 
-    Every input session receives exactly one disposition. Sessions of
-    unknown or excluded ASNs are rejected at the ASN stage; pure-LEO
-    operators accept at the ASN stage; MEO/GEO (and hybrid) operators run
+    A SpeedTestSession is classified by its session_row. Every input
+    session receives exactly one disposition. Sessions of unknown or
+    excluded ASNs are rejected at the ASN stage; pure-LEO operators accept
+    at the ASN stage; MEO/GEO (and hybrid) operators run
     the strict/relaxed prefix screen against the union of their declared
     bands. The result is independent of input order and of the worker
     count: per-operator work is keyed and merged in sorted order, and
@@ -259,27 +256,29 @@ def run_pipeline(
             result = per_sno[entry.name] = SnoResult(entry.name, entry.orbits, entry.pep, threshold_ms=None)
         return result
 
-    for index, session in enumerate(sessions):
+    for index, row in enumerate(rows):
+        if isinstance(row, SpeedTestSession):
+            row = session_row(row)
+        session_id, asn, ipv4, latency = row[:4]
         input_count += 1
-        hit = catalog.lookup(session.client_asn)
+        hit = catalog.lookup(asn)
         if hit is None:
-            dispositions.append(Disposition(session.session_id, None, STAGE_REJECTED, REASON_UNKNOWN_ASN, index))
+            dispositions.append(Disposition(session_id, None, STAGE_REJECTED, REASON_UNKNOWN_ASN, index))
             continue
         entry, role = hit
-        latency = access_latency(session)
-        asn_latencies.setdefault(session.client_asn, []).append(latency)
+        asn_latencies.setdefault(asn, []).append(latency)
         if role != ROLE_SUBSCRIBER:
             excluded_rejections[entry.name] = excluded_rejections.get(entry.name, 0) + 1
-            dispositions.append(Disposition(session.session_id, entry.name, STAGE_REJECTED, REASON_EXCLUDED_ASN, index))
+            dispositions.append(Disposition(session_id, entry.name, STAGE_REJECTED, REASON_EXCLUDED_ASN, index))
             continue
-        ref = SessionRef(session.session_id, entry.name, session.client_ip, latency, session.timestamp, index)
+        ref = SessionRef(session_id, entry.name, ipv4, latency, index)
         if entry.orbits == frozenset(("LEO",)):
             result_for(entry).accepted.append(ref)
-            dispositions.append(Disposition(ref.session_id, entry.name, STAGE_ASN, index=index))
+            dispositions.append(Disposition(session_id, entry.name, STAGE_ASN, index=index))
         else:
             entries[entry.name] = entry
             pending.setdefault(entry.name, []).append(ref)
-            if not isinstance(session.client_ip, IPv4Address):
+            if ipv4 < 0:
                 ipv6_excluded += 1
 
     def work(name: str) -> tuple[SnoResult, list[Disposition]]:

@@ -1,30 +1,36 @@
-"""Measurement corpus ingestion: schemas, streaming parsers, serializers.
+"""Measurement corpus ingestion: schemas, streaming parsers, the AS-path serializer.
 
 Three record streams (NDJSON speed-test sessions, NDJSON traceroutes, and
 whitespace-separated AS-path lines) plus four side tables (operator catalog,
 ASN registry, PoP locations, reverse DNS). Parsers are streaming and
 line-oriented: under the default lenient policy a malformed line is reported
 as a RecordError value and parsing continues; under the strict policy the
-first malformed line raises.
+first malformed line raises. A speed-test corpus file can also be parsed into
+one SessionRow per session, over byte ranges in worker processes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import operator
+import os
+import re
+from array import array
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 from ipaddress import IPv4Address, IPv6Address, ip_address
 from itertools import accumulate, islice, repeat
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO, Union
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO, Union
 
 import numpy as np
 
 from .catalog import ORBITS, SnoCatalog, SnoEntry
+from .profiling import ACCESS_LATENCY_QUANTILE, JITTER_QUANTILE, percentile
 from .util import format_rfc3339, parse_rfc3339
 
 STRICTNESS_LENIENT = "lenient"
@@ -52,6 +58,13 @@ SNAPSHOT_FIELDS = ("t_offset_ms", "rtt_ms", "rtt_var_ms", "bytes_sent", "bytes_r
 # lines of 12 snapshots). 512 lines parse no faster, and hold twice that.
 CHUNK_LINES = 256
 
+# The smallest byte range parse_speedtest_rows gives a worker process. Forked
+# workers take 15-25 ms to start and stop, and one core parses about 25 MB of
+# speed-test NDJSON a second (2-core host). A range of 10 x 25 ms x 25 MB/s
+# keeps that cost under a tenth of its parse time; a smaller file is parsed
+# in-process.
+MIN_SHARD_BYTES = 10 * 25 * 25_000  # 10 x 25 ms x 25,000 bytes/ms
+
 # Distinct strings a ScalarMemo keeps per kind. The traceroute and AS-path
 # corpora repeat a few hundred addresses and timestamps; a stream of more
 # distinct ones parses the rest as if there were no memo.
@@ -76,6 +89,10 @@ class RecordError(Exception):
 
     def __hash__(self) -> int:
         return hash((self.line_no, self.reason))
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Exception pickles its message alone, which __init__ does not take.
+        return (RecordError, (self.line_no, self.reason))
 
 
 class TableError(ValueError):
@@ -102,6 +119,21 @@ class SpeedTestSession:
     bytes_sent: list[int]
     bytes_retrans: list[int]
     delivery_rate_bps: list[float | None]
+
+
+class SessionRow(NamedTuple):
+    """What classify keeps of a session: its id, ASN and address, the p5 of its RTTs, and so on (see _row).
+
+    ipv4 is -1 for an IPv6 client, retrans_fraction NaN when no bytes were sent, and day the UTC date's ordinal.
+    """
+
+    session_id: str
+    client_asn: int
+    ipv4: int
+    latency_p5_ms: float
+    jitter_p95_ms: float
+    retrans_fraction: float
+    day: int
 
 
 @dataclass(slots=True)
@@ -164,18 +196,25 @@ class ScalarMemo:
 # line iteration
 
 
-def _iter_lines(source: Source, digest: Any = None) -> Iterator[tuple[int, str | bytes]]:
+def _iter_lines(
+    source: Source, digest: Any = None, start: int = 0, end: float = math.inf
+) -> Iterator[tuple[int, str | bytes]]:
     """Yield (1-based line number, raw line) from a path, file, or iterable.
 
     A path is read as bytes, and each line is decoded by its parser (see
     _decode), so one undecodable line is one malformed record. With a
     digest (a hashlib object) the source must be a path, and every line's
     bytes are hashed as they are read: once the lines are exhausted, the
-    digest covers the whole file.
+    digest covers the whole file. Of a path, only the lines in bytes [start,
+    end) are read, numbered from start; a bound must start a line or end the file.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
+            handle.seek(start)
             for line_no, line in enumerate(handle, start=1):
+                if start >= end:
+                    return
+                start += len(line)
                 if digest is not None:
                     digest.update(line)
                 yield line_no, line
@@ -250,14 +289,22 @@ def _as_number(value: Any, name: str, minimum: float | None = None, strict_min: 
     return out
 
 
+# Canonical dotted-quad IPv4 (ASCII octets up to 255, no leading zeros), which ip_address reads alike.
+_DOTTED_QUAD = re.compile(r"\.".join(["(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"] * 4))
+
+
 def _as_ip(value: Any, name: str, memo: dict[str, IPAddress] | None = None) -> IPAddress:
     text = _as_str(value, name)
     if memo is not None and text in memo:
         return memo[text]
-    try:
-        ip = ip_address(text)
-    except ValueError:
-        raise ValueError(f"{name} is not an IP address: {text!r}") from None
+    if quad := _DOTTED_QUAD.fullmatch(text):
+        a, b, c, d = map(int, quad.groups())
+        ip: IPAddress = IPv4Address(a << 24 | b << 16 | c << 8 | d)
+    else:
+        try:
+            ip = ip_address(text)
+        except ValueError:
+            raise ValueError(f"{name} is not an IP address: {text!r}") from None
     if memo is not None and len(memo) < MEMO_CAP:
         memo[text] = ip
     return ip
@@ -432,13 +479,34 @@ def _chunk_record(obj: Any, columns: Sequence[list[Any]], counts: list[int]) -> 
     return identity
 
 
-def _parse_chunk(lines: Sequence[tuple[int, str | bytes]], strictness: str) -> Iterator[SpeedTestSession | RecordError]:
-    """Parse a chunk of speed-test lines.
+def _row(
+    identity: tuple[str, datetime, IPAddress, int], rtts: list[float], rtt_vars: list[float], sent: int, retrans: int
+) -> SessionRow:
+    """A session's row (see SessionRow), from its identity, snapshot series and final byte counters."""
+    session_id, timestamp, client_ip, client_asn = identity
+    ipv4 = int(client_ip) if isinstance(client_ip, IPv4Address) else -1
+    latency, jitter = percentile(rtts, ACCESS_LATENCY_QUANTILE), percentile(rtt_vars, JITTER_QUANTILE)
+    retrans_fraction = retrans / sent if sent > 0 else math.nan
+    day = timestamp.astimezone(timezone.utc).toordinal()
+    return SessionRow(session_id, client_asn, ipv4, latency, jitter, retrans_fraction, day)
+
+
+def session_row(session: SpeedTestSession) -> SessionRow:
+    """The row classify keeps of a session (see SessionRow)."""
+    identity = (session.session_id, session.timestamp, session.client_ip, session.client_asn)
+    return _row(identity, session.rtt_ms, session.rtt_var_ms, session.bytes_sent[-1], session.bytes_retrans[-1])
+
+
+def _parse_chunk(
+    lines: Sequence[tuple[int, str | bytes]], strictness: str, rows: bool = False
+) -> Iterator[SpeedTestSession | SessionRow | RecordError]:
+    """Parse a chunk of speed-test lines into sessions, or with rows into their SessionRows.
 
     Each line is decoded, and its snapshot fields are moved into the chunk's
-    columns, which are checked together. Sessions are then built one at a
-    time, as they are consumed. A record that fails a check is parsed again
-    by session_from_dict, which gives the reason it is rejected.
+    columns, which are checked together. Sessions or rows are then built one
+    at a time, as they are consumed. A record that fails a check is parsed
+    again by session_from_dict, which gives the reason it is rejected, or
+    the session its row is taken from.
     """
     records: list[tuple[int, str | bytes, tuple[str, datetime, IPAddress, int] | None]] = []
     columns: list[list[Any]] = [[] for _ in SNAPSHOT_FIELDS]
@@ -460,6 +528,9 @@ def _parse_chunk(lines: Sequence[tuple[int, str | bytes]], strictness: str) -> I
         if identity is not None:
             passed, end = next(checked)
             start, stop = stop, end
+            if passed and rows:
+                yield _row(identity, rtts[start:stop], rtt_vars[start:stop], sent[stop - 1], retrans[stop - 1])
+                continue
             if passed:
                 yield SpeedTestSession(
                     *identity,
@@ -473,7 +544,8 @@ def _parse_chunk(lines: Sequence[tuple[int, str | bytes]], strictness: str) -> I
                 )
                 continue
         try:
-            item: SpeedTestSession | RecordError = session_from_dict(_loads(_decode(raw)))
+            session = session_from_dict(_loads(_decode(raw)))
+            item: SpeedTestSession | SessionRow | RecordError = session_row(session) if rows else session
         except ValueError as exc:
             item = RecordError(line_no, str(exc))
             if strictness == STRICTNESS_STRICT:
@@ -497,25 +569,105 @@ def parse_speedtest_stream(
         yield from _parse_chunk(chunk, strictness)
 
 
-def session_to_dict(session: SpeedTestSession) -> dict[str, Any]:
-    snapshots = []
-    for values in zip(*(getattr(session, name) for name in SNAPSHOT_FIELDS)):
-        snap = dict(zip(SNAPSHOT_FIELDS, values))
-        if snap["delivery_rate_bps"] is None:
-            del snap["delivery_rate_bps"]
-        snapshots.append(snap)
-    return {
-        "session_id": session.session_id,
-        "timestamp": format_rfc3339(session.timestamp),
-        "client_ip": str(session.client_ip),
-        "client_asn": session.client_asn,
-        "direction": session.direction,
-        "snapshots": snapshots,
-    }
+@dataclass
+class SpeedTestShard:
+    """The rows of one byte range of a corpus file, as columns, its errors, and its line count.
+
+    Row i is ids[i] and item i of each column, in SessionRow's field order.
+    Error line numbers count from the range's first line.
+    """
+
+    ids: list[str] = field(default_factory=list)
+    columns: list[array] = field(default_factory=lambda: [array(code) for code in "qqdddq"])
+    errors: list[RecordError] = field(default_factory=list)
+    lines: int = 0
 
 
-def session_to_json(session: SpeedTestSession) -> str:
-    return json.dumps(session_to_dict(session), separators=(",", ":"))
+def parse_speedtest_range(path: str | Path, start: int, end: int, strictness: str = STRICTNESS_LENIENT) -> SpeedTestShard:
+    """Parse the speed-test lines in bytes [start, end) of a file (see _iter_lines) into a shard.
+
+    Under strict parsing it stops at the first malformed record, and
+    returns it as the shard's only error.
+    """
+    _check_strictness(strictness)
+    shard = SpeedTestShard()
+    lines = _iter_lines(path, None, start, end)
+    try:
+        for chunk in iter(lambda: list(islice(lines, CHUNK_LINES)), []):
+            shard.lines = chunk[-1][0]
+            rows = []
+            for item in _parse_chunk(chunk, strictness, rows=True):
+                (shard.errors if type(item) is RecordError else rows).append(item)
+            if rows:
+                ids, *values = zip(*rows)
+                shard.ids += ids
+                for column, column_values in zip(shard.columns, values):
+                    column.extend(column_values)
+    except RecordError as exc:
+        shard.errors.append(exc)
+    return shard
+
+
+def usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _shard_ranges(path: str | Path, parallelism: int | None) -> list[tuple[int, int]]:
+    """min(parallelism, usable CPUs, size // MIN_SHARD_BYTES) byte ranges, at least 1, that start on lines.
+
+    They cover the file; a line longer than a range can leave fewer.
+    """
+    size = os.path.getsize(path)
+    cpus = usable_cpus()
+    count = max(1, min(parallelism or cpus, cpus, size // MIN_SHARD_BYTES))
+    bounds = [0]
+    with open(path, "rb") as handle:
+        for k in range(1, count):
+            handle.seek(size * k // count)
+            handle.readline()
+            bounds.append(handle.tell())
+    bounds.append(size)
+    return [(start, end) for start, end in zip(bounds, bounds[1:]) if start < end] or [(0, 0)]
+
+
+def _merge_shards(shards: Iterable[SpeedTestShard], strictness: str) -> Iterator[SessionRow | RecordError]:
+    """Each shard's errors, numbered from the first shard's first line, then its rows; strictly, the first error raises."""
+    offset = 0
+    for shard in shards:
+        for error in shard.errors:
+            error = RecordError(offset + error.line_no, error.reason)
+            if strictness == STRICTNESS_STRICT:
+                raise error
+            yield error
+        yield from map(SessionRow, shard.ids, *shard.columns)
+        offset += shard.lines
+
+
+def parse_speedtest_rows(
+    path: str | Path, strictness: str = STRICTNESS_LENIENT, digest: Any = None, parallelism: int | None = None
+) -> Iterator[SessionRow | RecordError]:
+    """Stream a speed-test corpus file's SessionRows and RecordErrors, those of each range in turn.
+
+    One range (see _shard_ranges) is parsed in this process, more by as many forked worker
+    processes; the items are those of parse_speedtest_stream and session_row, however the file
+    is split. A digest (a hashlib object) receives the file's bytes while workers parse.
+    """
+    starts, ends = zip(*_shard_ranges(path, parallelism))
+    with contextlib.ExitStack() as stack:
+        run = map
+        if len(starts) > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # A forked worker starts with this process's imports, and needs only its range.
+            context = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+            run = stack.enter_context(ProcessPoolExecutor(len(starts), mp_context=context)).map
+        shards = run(parse_speedtest_range, repeat(path), starts, ends, repeat(strictness))
+        if digest is not None:
+            with open(path, "rb") as handle:
+                for block in iter(lambda: handle.read(1 << 16), b""):
+                    digest.update(block)
+        yield from _merge_shards(shards, strictness)
 
 
 # ---------------------------------------------------------------------------
@@ -644,30 +796,6 @@ def parse_traceroute_stream(source: Source, strictness: str = STRICTNESS_LENIENT
             if strictness == STRICTNESS_STRICT:
                 raise err from None
             yield err
-
-
-def traceroute_to_dict(m: TracerouteMeasurement) -> dict[str, Any]:
-    hops = []
-    for hop in m.hops:
-        replies = []
-        for reply in hop.replies:
-            if reply.ip is None:
-                replies.append({"ip": UNRESPONSIVE})
-            else:
-                replies.append({"ip": str(reply.ip), "rtt_ms": reply.rtt_ms})
-        hops.append({"hop_no": hop.hop_no, "replies": replies})
-    return {
-        "probe_id": m.probe_id,
-        "timestamp": format_rfc3339(m.timestamp),
-        "src_addr": str(m.src_addr),
-        "dst_name": m.dst_name,
-        "dst_addr": str(m.dst_addr),
-        "hops": hops,
-    }
-
-
-def traceroute_to_json(m: TracerouteMeasurement) -> str:
-    return json.dumps(traceroute_to_dict(m), separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -839,18 +967,3 @@ def parse_rdns(source: Source) -> dict[str, str]:
             raise TableError(f"row {line_no}: conflicting hostnames for {ip}")
         out[ip] = host
     return out
-
-
-def parse_tables(
-    catalog_source: Source,
-    registry_source: Source,
-    pop_table_source: Source,
-    rdns_source: Source,
-) -> tuple[SnoCatalog, dict[int, str], dict[str, PopLocation], dict[str, str]]:
-    """Parse all four side tables; any malformed row raises TableError."""
-    return (
-        parse_catalog(catalog_source),
-        parse_registry(registry_source),
-        parse_pop_table(pop_table_source),
-        parse_rdns(rdns_source),
-    )

@@ -16,19 +16,16 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from datetime import date, timezone
+from datetime import date
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .catalog import SnoCatalog, SnoEntry
-from .filtering import STAGE_REJECTED, ClassifiedCorpus
-from .ingest import SpeedTestSession
+from .ingest import SessionRow, SpeedTestSession, session_row
 from .profiling import percentile
 from .util import atomic_write
-
-JITTER_QUANTILE = 0.95
 
 GROUPING_ORBIT = "orbit"
 GROUPING_SNO = "sno"
@@ -52,20 +49,15 @@ class SessionMetrics:
     retrans_fraction: float | None
 
 
+def _metrics(session_id: str, sno: str | None, day: int, latency: float, jitter: float, retrans: float) -> SessionMetrics:
+    """SessionMetrics from a session's row values (see SessionRow)."""
+    retrans_fraction = None if math.isnan(retrans) else retrans
+    return SessionMetrics(session_id, sno, date.fromordinal(day), latency, jitter, jitter / latency, retrans_fraction)
+
+
 def session_metrics(session: SpeedTestSession, sno: str | None = None) -> SessionMetrics:
-    latency_p5 = percentile(session.rtt_ms, 0.05)
-    jitter_p95 = percentile(session.rtt_var_ms, JITTER_QUANTILE)
-    sent, retrans = session.bytes_sent[-1], session.bytes_retrans[-1]
-    retrans_fraction = retrans / sent if sent > 0 else None
-    return SessionMetrics(
-        session_id=session.session_id,
-        sno=sno,
-        day=session.timestamp.astimezone(timezone.utc).date(),
-        latency_p5_ms=latency_p5,
-        jitter_p95_ms=jitter_p95,
-        jitter_variability=jitter_p95 / latency_p5,
-        retrans_fraction=retrans_fraction,
-    )
+    row = session_row(session)
+    return _metrics(row.session_id, sno, row.day, row.latency_p5_ms, row.jitter_p95_ms, row.retrans_fraction)
 
 
 # One row per session. day is the UTC date as a proleptic Gregorian ordinal
@@ -84,13 +76,11 @@ class SessionTableBuilder:
         # is exact as a double.
         self._values = array("d")
 
-    def measure(self, sessions: Iterable[SpeedTestSession]) -> Iterator[SpeedTestSession]:
-        """Pass sessions through, appending the metrics of each one."""
-        for session in sessions:
-            m = session_metrics(session)
-            retrans = math.nan if m.retrans_fraction is None else m.retrans_fraction
-            self._values.extend((m.day.toordinal(), m.latency_p5_ms, m.jitter_p95_ms, retrans))
-            yield session
+    def measure(self, rows: Iterable[SessionRow]) -> Iterator[SessionRow]:
+        """Pass session rows through, appending the table values of each one."""
+        for row in rows:
+            self._values.extend((row.day, row.latency_p5_ms, row.jitter_p95_ms, row.retrans_fraction))
+            yield row
 
     def build(self, order: Sequence[int]) -> np.ndarray:
         """The session table whose row i holds the order[i]-th session measured."""
@@ -123,22 +113,7 @@ def table_metrics(table: np.ndarray, session_ids: Sequence[str], snos: Sequence[
     if not len(table) == len(session_ids) == len(snos):
         raise ValueError(f"session table has {len(table)} rows for {len(session_ids)} sessions")
     columns = (table[name].tolist() for name in SESSION_TABLE_DTYPE.names)
-    out: list[SessionMetrics] = []
-    for session_id, sno, day, latency, jitter, retrans in zip(session_ids, snos, *columns):
-        if sno is None:
-            continue
-        out.append(
-            SessionMetrics(
-                session_id=session_id,
-                sno=sno,
-                day=date.fromordinal(day),
-                latency_p5_ms=latency,
-                jitter_p95_ms=jitter,
-                jitter_variability=jitter / latency,
-                retrans_fraction=None if math.isnan(retrans) else retrans,
-            )
-        )
-    return out
+    return [_metrics(*values) for values in zip(session_ids, snos, *columns) if values[1] is not None]
 
 
 MetricSelector = Callable[[SessionMetrics], float | None]
@@ -264,26 +239,3 @@ def compare_groups(
         label = group_label(catalog.get(m.sno), grouping)
         pools.setdefault(label, []).append(value)
     return {label: summarize(values) for label, values in sorted(pools.items())}
-
-
-def corpus_metrics(
-    sessions: Iterable[SpeedTestSession],
-    corpus: ClassifiedCorpus,
-    accepted_only: bool = True,
-) -> list[SessionMetrics]:
-    """Metrics for sessions, attributed via the pipeline's dispositions.
-
-    sessions are run_pipeline's input, in its order: session i is attributed
-    by the disposition whose index is i, so sessions that share an id keep
-    their own outcomes.
-    """
-    by_index: dict[int, tuple[str | None, str]] = {
-        d.index: (d.sno, d.stage) for d in corpus.dispositions
-    }
-    out: list[SessionMetrics] = []
-    for index, session in enumerate(sessions):
-        sno, stage = by_index.get(index, (None, STAGE_REJECTED))
-        if accepted_only and stage == STAGE_REJECTED:
-            continue
-        out.append(session_metrics(session, sno=sno))
-    return out

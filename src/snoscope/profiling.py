@@ -11,17 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .catalog import DEFAULT_BANDS, ORBITS, OrbitBand, SnoCatalog, band_containing
-from .ingest import SpeedTestSession
+
+if TYPE_CHECKING:  # ingest imports this module, for the statistics of its session rows
+    from .ingest import SpeedTestSession
 
 VERDICT_MIXED = "mixed"
 VERDICT_TERRESTRIAL = "terrestrial_suspect"
 
 ACCESS_LATENCY_QUANTILE = 0.05
+JITTER_QUANTILE = 0.95
 
 KDE_GRID_POINTS = 512
 KDE_GRID_PAD_BANDWIDTHS = 3.0

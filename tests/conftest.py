@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 from importlib import resources
 from pathlib import Path
 
@@ -10,6 +11,13 @@ import pytest
 
 from snoscope.ingest import parse_catalog
 from snoscope.synth import GeneratorSpec, gen_corpus
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """Every test, and each classify run in it, leaves no worker process running."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def packaged(name: str) -> Path:

@@ -6,7 +6,11 @@ import json
 from datetime import datetime, timezone
 from ipaddress import ip_address
 
-from snoscope.ingest import Hop, HopReply, SpeedTestSession, TracerouteMeasurement, session_to_dict
+from snoscope.catalog import SnoCatalog
+from snoscope.filtering import STAGE_REJECTED, ClassifiedCorpus
+from snoscope.ingest import SNAPSHOT_FIELDS, UNRESPONSIVE, Hop, HopReply, SpeedTestSession, TracerouteMeasurement
+from snoscope.metrics import SessionMetrics, session_metrics
+from snoscope.util import format_rfc3339
 
 
 def ts(text: str) -> datetime:
@@ -16,6 +20,76 @@ def ts(text: str) -> datetime:
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
     return stamp
+
+
+def session_to_dict(session: SpeedTestSession) -> dict:
+    """A session as the JSON object of its corpus line."""
+    snapshots = []
+    for values in zip(*(getattr(session, name) for name in SNAPSHOT_FIELDS)):
+        snap = dict(zip(SNAPSHOT_FIELDS, values))
+        if snap["delivery_rate_bps"] is None:
+            del snap["delivery_rate_bps"]
+        snapshots.append(snap)
+    return {
+        "session_id": session.session_id,
+        "timestamp": format_rfc3339(session.timestamp),
+        "client_ip": str(session.client_ip),
+        "client_asn": session.client_asn,
+        "direction": session.direction,
+        "snapshots": snapshots,
+    }
+
+
+def session_to_json(session: SpeedTestSession) -> str:
+    return json.dumps(session_to_dict(session), separators=(",", ":"))
+
+
+def traceroute_to_dict(m: TracerouteMeasurement) -> dict:
+    """A traceroute as the JSON object of its corpus line."""
+    hops = []
+    for hop in m.hops:
+        replies = []
+        for reply in hop.replies:
+            if reply.ip is None:
+                replies.append({"ip": UNRESPONSIVE})
+            else:
+                replies.append({"ip": str(reply.ip), "rtt_ms": reply.rtt_ms})
+        hops.append({"hop_no": hop.hop_no, "replies": replies})
+    return {
+        "probe_id": m.probe_id,
+        "timestamp": format_rfc3339(m.timestamp),
+        "src_addr": str(m.src_addr),
+        "dst_name": m.dst_name,
+        "dst_addr": str(m.dst_addr),
+        "hops": hops,
+    }
+
+
+def traceroute_to_json(m: TracerouteMeasurement) -> str:
+    return json.dumps(traceroute_to_dict(m), separators=(",", ":"))
+
+
+def corpus_metrics(
+    sessions: list[SpeedTestSession], corpus: ClassifiedCorpus, accepted_only: bool = True
+) -> list[SessionMetrics]:
+    """Metrics for sessions, attributed via the pipeline's dispositions.
+
+    sessions are run_pipeline's input, in its order: session i is attributed
+    by the disposition whose index is i, so sessions that share an id keep
+    their own outcomes.
+    """
+    by_index = {d.index: (d.sno, d.stage) for d in corpus.dispositions}
+    out = []
+    for index, session in enumerate(sessions):
+        sno, stage = by_index.get(index, (None, STAGE_REJECTED))
+        if not (accepted_only and stage == STAGE_REJECTED):
+            out.append(session_metrics(session, sno=sno))
+    return out
+
+
+def mapped_asns(catalog: SnoCatalog) -> int:
+    """How many ASNs a catalog maps, subscriber and excluded alike."""
+    return len({asn for entry in catalog.entries for asn in entry.asns | entry.excluded_asns})
 
 
 def make_session(

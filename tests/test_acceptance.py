@@ -17,7 +17,7 @@ from ipaddress import ip_network
 import numpy as np
 import pytest
 
-from helpers import make_session
+from helpers import corpus_metrics, make_session
 from snoscope.bgp import build_graph, coverage_score, snapshot_diff
 from snoscope.catalog import DEFAULT_BANDS
 from snoscope.cli import main as cli_main
@@ -36,7 +36,7 @@ from snoscope.ingest import (
     parse_speedtest_stream,
     parse_traceroute_stream,
 )
-from snoscope.metrics import GROUPING_PEP, compare_groups, corpus_metrics, session_metrics
+from snoscope.metrics import GROUPING_PEP, compare_groups, session_metrics
 from snoscope.profiling import (
     VERDICT_MIXED,
     classify_orbit,

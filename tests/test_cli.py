@@ -14,9 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import HOSTILE_LINES, make_session
+from helpers import HOSTILE_LINES, make_session, session_to_json
 from snoscope.cli import Options, build_parser, default_catalog_path, main
-from snoscope.ingest import CHUNK_LINES, parse_speedtest_stream, session_to_json
+from snoscope.ingest import CHUNK_LINES, parse_speedtest_stream
 from snoscope.metrics import SESSION_TABLE_DTYPE, session_metrics
 from snoscope.util import sha256_file
 from test_synth import small_spec_dict
@@ -485,6 +485,31 @@ class TestReportMetrics:
         )
         assert code == 2
         assert "--dispositions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m["files"].update({"dispositions.ndjson": 5}),
+            lambda m: m["files"].update({"session_metrics.npy": None}),
+            lambda m: m["files"]["dispositions.ndjson"].update(sha256=5),
+            lambda m: m["files"]["session_metrics.npy"].pop("sha256"),
+            lambda m: m.update(input=[]),
+            lambda m: m["input"].update(sha256=None),
+            lambda m: m["input"].update(sha256=["0" * 64]),
+        ],
+        ids=["int file entry", "null file entry", "int file sha256", "no file sha256", "array input",
+             "null input sha256", "array input sha256"],
+    )
+    def test_manifest_digest_of_wrong_type_is_an_input_error(self, corpus_dir, classify_dir, tmp_path, edit, capsys):
+        copy = tmp_path / "classified"
+        shutil.copytree(classify_dir, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        edit(manifest)
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "o"
+        assert report_metrics(corpus_dir / "speedtests.ndjson", copy / "dispositions.ndjson", out) == 2
+        assert "records no sha256 string" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

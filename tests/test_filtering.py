@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from datetime import datetime, timezone
 from ipaddress import ip_address, ip_network
 
 import pytest
@@ -32,12 +31,12 @@ from snoscope.filtering import (
 
 
 def ref(session_id: str, ip: str, latency: float, sno: str = "viasat") -> SessionRef:
+    address = ip_address(ip)
     return SessionRef(
         session_id=session_id,
         sno=sno,
-        client_ip=ip_address(ip),
+        ipv4=int(address) if address.version == 4 else -1,
         access_latency_ms=latency,
-        timestamp=datetime(2021, 3, 1, tzinfo=timezone.utc),
     )
 
 
@@ -85,7 +84,7 @@ class TestGroupPrefix24:
         assert sum(len(g.sessions) for g in groups) == len(ips)
         for group in groups:
             for r in group.sessions:
-                assert group.prefix == ip_network(f"{r.client_ip}/24", strict=False)
+                assert group.prefix == ip_network(f"{ip_address(r.ipv4)}/24", strict=False)
 
 
 class TestStrictFilter:

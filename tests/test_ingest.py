@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import HOSTILE_LINES, make_session, make_traceroute
+from helpers import (
+    HOSTILE_LINES,
+    make_session,
+    make_traceroute,
+    mapped_asns,
+    session_to_dict,
+    session_to_json,
+    traceroute_to_dict,
+    traceroute_to_json,
+)
 from snoscope import ingest
 from snoscope.ingest import (
     CHUNK_LINES,
@@ -27,14 +36,9 @@ from snoscope.ingest import (
     parse_rdns,
     parse_registry,
     parse_speedtest_stream,
-    parse_tables,
     parse_traceroute_stream,
     session_from_dict,
-    session_to_dict,
-    session_to_json,
     traceroute_from_dict,
-    traceroute_to_dict,
-    traceroute_to_json,
 )
 
 
@@ -605,7 +609,7 @@ class TestStreamMemo:
 class TestCatalogTable:
     def test_bundled_catalog_loads(self, bundled_catalog):
         assert len(bundled_catalog) == 41
-        assert bundled_catalog.asn_count() == 67
+        assert mapped_asns(bundled_catalog) == 67
 
     def test_minimal_catalog(self):
         text = json.dumps(
@@ -706,21 +710,6 @@ class TestRdnsTable:
     def test_bad_ip_raises(self):
         with pytest.raises(TableError):
             parse_rdns(csv_src("999.2.3.4,a.example"))
-
-
-class TestParseTables:
-    def test_all_four_parse_together(self, bundled_catalog):
-        catalog_text = json.dumps([{"name": "op", "asns": [99], "orbits": ["GEO"]}])
-        catalog, registry, pops, rdns = parse_tables(
-            [catalog_text],
-            csv_src("3356,US"),
-            csv_src("code,city,country_code,lat,lon", "x1,Town,US,10.0,20.0"),
-            csv_src("9.9.9.9,host.example"),
-        )
-        assert len(catalog) == 1
-        assert registry == {3356: "US"}
-        assert pops["x1"].city == "Town"
-        assert rdns == {"9.9.9.9": "host.example"}
 
 
 class TestRecordErrorShape:

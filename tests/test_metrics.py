@@ -7,7 +7,7 @@ from datetime import date
 
 import pytest
 
-from helpers import make_session
+from helpers import corpus_metrics, make_session
 from snoscope.catalog import SnoCatalog, SnoEntry
 from snoscope.filtering import run_pipeline
 from snoscope.metrics import (
@@ -15,7 +15,6 @@ from snoscope.metrics import (
     GROUPING_PEP,
     GROUPING_SNO,
     compare_groups,
-    corpus_metrics,
     daily_median_series,
     daily_variation,
     group_label,
