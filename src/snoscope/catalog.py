@@ -18,9 +18,6 @@ ORBITS = ("LEO", "MEO", "GEO")
 ROLE_SUBSCRIBER = "subscriber"
 ROLE_EXCLUDED = "excluded"
 
-# ASdb category whose member ASes are candidate satellite operators.
-SATELLITE_CATEGORY = "Satellite Communication"
-
 
 class CatalogConflictError(ValueError):
     """An ASN is claimed by more than one operator."""
@@ -143,53 +140,3 @@ class SnoCatalog:
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
-
-def build_catalog(
-    asdb_rows: Iterable[Mapping[str, object]],
-    manual_additions: Iterable[SnoEntry] = (),
-    manual_exclusions: Iterable[int] = (),
-) -> SnoCatalog:
-    """Assemble a catalog from database rows plus manual curation.
-
-    asdb_rows are mappings with keys "asn", "org", and "category"; only rows
-    in the satellite-communication category are kept. manual_additions merge
-    by operator name (their ASNs, orbits, and flags union into any row-derived
-    entry). manual_exclusions drop ASNs entirely, wherever they came from.
-    Conflicting ownership of one ASN by two operators raises
-    CatalogConflictError.
-    """
-    dropped = set(manual_exclusions)
-    grouped: dict[str, set[int]] = {}
-    owner: dict[int, str] = {}
-    for row in asdb_rows:
-        if row.get("category") != SATELLITE_CATEGORY:
-            continue
-        asn = int(row["asn"])  # type: ignore[arg-type]
-        org = str(row["org"])
-        if asn in dropped:
-            continue
-        prior = owner.get(asn)
-        if prior is not None and prior != org:
-            raise CatalogConflictError(f"AS{asn} claimed by both {prior!r} and {org!r}")
-        owner[asn] = org
-        grouped.setdefault(org, set()).add(asn)
-
-    merged: dict[str, SnoEntry] = {
-        org: SnoEntry(name=org, asns=frozenset(asns), orbits=frozenset())
-        for org, asns in grouped.items()
-    }
-    for extra in manual_additions:
-        asns = frozenset(a for a in extra.asns if a not in dropped)
-        excluded = frozenset(a for a in extra.excluded_asns if a not in dropped)
-        base = merged.get(extra.name)
-        if base is None:
-            merged[extra.name] = SnoEntry(extra.name, asns, extra.orbits, extra.pep, excluded)
-        else:
-            merged[extra.name] = SnoEntry(
-                extra.name,
-                base.asns | asns,
-                base.orbits | extra.orbits,
-                base.pep or extra.pep,
-                base.excluded_asns | excluded,
-            )
-    return SnoCatalog(merged.values())

@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from . import bgp, filtering, metrics, profiling, starlink, synth
-from .catalog import SnoCatalog, make_bands
+from .catalog import make_bands
 from .ingest import (
     RecordError,
     TableError,
@@ -204,10 +204,6 @@ def _merge_options(args: argparse.Namespace) -> Options:
 # shared helpers
 
 
-def _load_catalog(opts: Options) -> SnoCatalog:
-    return parse_catalog(opts.catalog)
-
-
 def _require_inputs(opts: Options, count: int, what: str) -> tuple[Path, ...]:
     if len(opts.input) != count:
         raise ValueError(f"expected {count} --input path(s): {what}")
@@ -288,7 +284,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
     (speedtests_path,) = _require_inputs(opts, 1, "the speed-test NDJSON corpus")
-    catalog = _load_catalog(opts)
+    catalog = parse_catalog(opts.catalog)
     errors = ParseErrors()
     digest = hashlib.sha256()
     table = metrics.SessionTableBuilder()
@@ -426,7 +422,7 @@ def cmd_report_metrics(args: argparse.Namespace) -> int:
     (speedtests_path,) = _require_inputs(opts, 1, "the speed-test NDJSON corpus")
     if opts.dispositions is None:
         raise ValueError("report metrics needs --dispositions (from a classify run)")
-    catalog = _load_catalog(opts)
+    catalog = parse_catalog(opts.catalog)
     dispositions, table = _load_classify_run(opts.dispositions, speedtests_path, opts.strict_parsing)
     # Row i of the table is the session on line i of dispositions.ndjson.
     ids = [session_id for session_id, _, _ in dispositions]
@@ -584,7 +580,7 @@ def cmd_report_bgp(args: argparse.Namespace) -> int:
         raise ValueError("report bgp needs --sno (an operator name from the catalog)")
     if opts.registry is None:
         raise ValueError("report bgp needs --registry (asn,country_code CSV)")
-    catalog = _load_catalog(opts)
+    catalog = parse_catalog(opts.catalog)
     entry = catalog.get(opts.sno)
     registry = parse_registry(opts.registry)
     errors = ParseErrors()

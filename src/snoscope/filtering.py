@@ -185,13 +185,14 @@ def _filter_sno(
     # IPv6 refs are absent from the groups, so they reach the relaxed branch
     # of the loop below: the prefix screen is the only IPv4-bound stage.
     groups, _ = group_prefix24(refs)
-    strict_ids: set[str] = set()
+    # By input position, so that sessions sharing an id are screened apart.
+    strict_members: set[int] = set()
     strict_latencies: list[float] = []
     strict_prefixes = 0
     for group in groups:
         if strict_filter(group, declared, min_tests=min_tests):
             strict_prefixes += 1
-            strict_ids.update(ref.session_id for ref in group.sessions)
+            strict_members.update(ref.index for ref in group.sessions)
             strict_latencies.extend(group.latencies)
     threshold = relaxed_threshold(strict_latencies, global_floor_ms=global_floor_ms)
     result = SnoResult(
@@ -204,7 +205,7 @@ def _filter_sno(
     )
     dispositions: list[Disposition] = []
     for ref in refs:
-        if ref.session_id in strict_ids:
+        if ref.index in strict_members:
             stage = STAGE_STRICT
         elif relaxed_filter(ref, threshold):
             stage = STAGE_RELAXED

@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 from ipaddress import IPv4Address, IPv6Address, ip_address
 from itertools import accumulate, islice, repeat
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO, TypeVar, Union
 
 import numpy as np
 
@@ -71,6 +71,8 @@ MIN_SHARD_BYTES = 10 * 25 * 25_000  # 10 x 25 ms x 25,000 bytes/ms
 MEMO_CAP = 4096
 
 Source = Union[str, Path, TextIO, Iterable[Union[str, bytes]]]
+
+R = TypeVar("R")
 
 
 class RecordError(Exception):
@@ -238,6 +240,25 @@ def _decode(line: str | bytes) -> str:
 def _check_strictness(strictness: str) -> None:
     if strictness not in (STRICTNESS_LENIENT, STRICTNESS_STRICT):
         raise ValueError(f"unknown strictness {strictness!r}")
+
+
+def _line_stream(source: Source, strictness: str, parse: Callable[[str], R | None]) -> Iterator[R | RecordError]:
+    """Each decoded line's parse, bar None for a line holding no record; see module docstring for policy.
+
+    A line whose decode or parse raises ValueError is a RecordError.
+    """
+    _check_strictness(strictness)
+    for line_no, raw in _iter_lines(source):
+        try:
+            record = parse(_decode(raw))
+        except ValueError as exc:
+            error = RecordError(line_no, str(exc))
+            if strictness == STRICTNESS_STRICT:
+                raise error from None
+            yield error
+            continue
+        if record is not None:
+            yield record
 
 
 # ---------------------------------------------------------------------------
@@ -783,19 +804,8 @@ def traceroute_from_dict(obj: Any, memo: ScalarMemo | None = None) -> Traceroute
 
 
 def parse_traceroute_stream(source: Source, strictness: str = STRICTNESS_LENIENT) -> Iterator[TracerouteMeasurement | RecordError]:
-    _check_strictness(strictness)
     memo = ScalarMemo()
-    for line_no, raw in _iter_lines(source):
-        try:
-            line = _decode(raw)
-            if not line.strip():
-                continue
-            yield traceroute_from_dict(_loads(line), memo)
-        except ValueError as exc:
-            err = RecordError(line_no, str(exc))
-            if strictness == STRICTNESS_STRICT:
-                raise err from None
-            yield err
+    return _line_stream(source, strictness, lambda line: traceroute_from_dict(_loads(line), memo) if line.strip() else None)
 
 
 # ---------------------------------------------------------------------------
@@ -825,19 +835,13 @@ def aspath_from_line(line: str, memo: ScalarMemo | None = None) -> AsPathRecord:
 
 
 def parse_aspath_stream(source: Source, strictness: str = STRICTNESS_LENIENT) -> Iterator[AsPathRecord | RecordError]:
-    _check_strictness(strictness)
     memo = ScalarMemo()
-    for line_no, raw in _iter_lines(source):
-        try:
-            stripped = _decode(raw).strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield aspath_from_line(stripped, memo)
-        except ValueError as exc:
-            err = RecordError(line_no, str(exc))
-            if strictness == STRICTNESS_STRICT:
-                raise err from None
-            yield err
+
+    def parse(line: str) -> AsPathRecord | None:
+        stripped = line.strip()
+        return aspath_from_line(stripped, memo) if stripped and not stripped.startswith("#") else None
+
+    return _line_stream(source, strictness, parse)
 
 
 def aspath_to_line(rec: AsPathRecord) -> str:

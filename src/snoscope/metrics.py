@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -116,48 +116,19 @@ def table_metrics(table: np.ndarray, session_ids: Sequence[str], snos: Sequence[
     return [_metrics(*values) for values in zip(session_ids, snos, *columns) if values[1] is not None]
 
 
-MetricSelector = Callable[[SessionMetrics], float | None]
+def daily_median_series(metrics: Iterable[SessionMetrics], metric: str = "latency_p5_ms") -> list[tuple[date, float]]:
+    """Median of one metric field per UTC day, sorted by day; empty days are absent.
 
-
-def _selector(metric: str | MetricSelector) -> MetricSelector:
-    if callable(metric):
-        return metric
-    return lambda m: getattr(m, metric)
-
-
-def daily_median_series(
-    metrics: Iterable[SessionMetrics],
-    metric: str | MetricSelector = "latency_p5_ms",
-) -> list[tuple[date, float]]:
-    """Median of one metric per UTC day, sorted by day; empty days are absent.
-
-    Sessions whose selected metric is undefined (None) are left out of their
-    day's population.
+    Sessions whose metric is undefined (None) are left out of their day's
+    population.
     """
-    select = _selector(metric)
     by_day: dict[date, list[float]] = {}
     for m in metrics:
-        value = select(m)
+        value = getattr(m, metric)
         if value is None:
             continue
         by_day.setdefault(m.day, []).append(value)
     return [(day, percentile(values, 0.5)) for day, values in sorted(by_day.items())]
-
-
-def daily_variation(series: Sequence[tuple[date, float]]) -> float:
-    """Spread of a daily median series: p95 of |day-over-day delta| / series median.
-
-    Consecutive means consecutive in the series (absent days do not
-    contribute deltas).
-    """
-    if len(series) < 2:
-        raise ValueError("daily variation needs at least 2 days")
-    values = [v for _, v in series]
-    deltas = [abs(b - a) for a, b in zip(values, values[1:])]
-    center = percentile(values, 0.5)
-    if center == 0:
-        raise ValueError("series median is zero; variation undefined")
-    return percentile(deltas, 0.95) / center
 
 
 @dataclass
@@ -195,25 +166,14 @@ def summarize(values: Sequence[float]) -> DistributionSummary:
     )
 
 
-def orbit_group(entry: SnoEntry) -> str:
-    """Orbit label for grouping, hybrids joined as e.g. "MEO+GEO"."""
-    return entry.orbit_label()
-
-
-def pep_group(entry: SnoEntry) -> str:
-    """PEP split: GEO operators by proxy deployment, others by orbit."""
-    if "GEO" in entry.orbits:
-        return "GEO (PEP)" if entry.pep else "GEO (others)"
-    return entry.orbit_label()
-
-
 def group_label(entry: SnoEntry, grouping: str) -> str:
-    if grouping == GROUPING_ORBIT:
-        return orbit_group(entry)
+    """An operator's orbit label (e.g. "MEO+GEO"), its name, or its PEP class: GEO split by proxy use, others by orbit."""
     if grouping == GROUPING_SNO:
         return entry.name
-    if grouping == GROUPING_PEP:
-        return pep_group(entry)
+    if grouping == GROUPING_PEP and "GEO" in entry.orbits:
+        return "GEO (PEP)" if entry.pep else "GEO (others)"
+    if grouping in (GROUPING_ORBIT, GROUPING_PEP):
+        return entry.orbit_label()
     raise ValueError(f"unknown grouping {grouping!r}")
 
 
@@ -221,19 +181,18 @@ def compare_groups(
     metrics: Iterable[SessionMetrics],
     catalog: SnoCatalog,
     grouping: str = GROUPING_ORBIT,
-    metric: str | MetricSelector = "latency_p5_ms",
+    metric: str = "latency_p5_ms",
 ) -> dict[str, DistributionSummary]:
-    """Summarize one metric across groups of sessions.
+    """Summarize one metric field across groups of sessions.
 
-    Sessions without an operator attribution, or whose selected metric is
-    undefined, are skipped.
+    Sessions without an operator attribution, or whose metric is undefined,
+    are skipped.
     """
-    select = _selector(metric)
     pools: dict[str, list[float]] = {}
     for m in metrics:
         if m.sno is None or m.sno not in catalog:
             continue
-        value = select(m)
+        value = getattr(m, metric)
         if value is None:
             continue
         label = group_label(catalog.get(m.sno), grouping)

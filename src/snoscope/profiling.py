@@ -189,7 +189,12 @@ def _orbit_verdict(
     terrestrial_ms: float,
     min_samples: int,
 ) -> OrbitVerdict:
-    """classify_orbit's verdict with modes_ms left empty: the KDE is computed by the caller, if read."""
+    """The orbit verdict of a population of access latencies; a caller that reads modes_ms fills it.
+
+    A median below terrestrial_ms marks the population terrestrial before band
+    dominance is considered, as terrestrial latencies sit inside the LEO band.
+    Then a band holding >= dominance of the samples wins; with none, it is mixed.
+    """
     if len(latencies) < min_samples:
         raise InsufficientSamplesError(f"need >= {min_samples} samples, got {len(latencies)}")
     table = DEFAULT_BANDS if bands is None else bands
@@ -205,27 +210,6 @@ def _orbit_verdict(
     best_orbit = max(fractions, key=lambda o: (fractions[o], -ORBITS.index(o)))
     orbit = best_orbit if fractions[best_orbit] >= dominance else VERDICT_MIXED
     return OrbitVerdict(orbit, fractions[best_orbit], median, [], n)
-
-
-def classify_orbit(
-    latencies: Sequence[float],
-    bands: Mapping[str, OrbitBand] | None = None,
-    dominance: float = 0.8,
-    terrestrial_ms: float = 20.0,
-    min_samples: int = 10,
-    min_prominence: float = 0.05,
-) -> OrbitVerdict:
-    """Assign an orbit verdict to a population of access latencies.
-
-    A median below terrestrial_ms marks the population terrestrial before
-    band dominance is considered: terrestrial latencies always sit inside the
-    LEO band, so the order is what keeps ground networks detectable. Then a
-    band holding >= dominance of the samples wins; with no dominant band the
-    population is mixed.
-    """
-    verdict = _orbit_verdict(latencies, bands, dominance, terrestrial_ms, min_samples)
-    verdict.modes_ms = _verdict_modes(latencies, min_prominence)
-    return verdict
 
 
 @dataclass
@@ -273,8 +257,8 @@ def flag_asn_anomalies(
     ASNs not in the catalog or with fewer than min_samples sessions are
     skipped. Excluded ASNs are checked too: confirming that an exclusion
     still looks terrestrial is as useful as catching a new anomaly. Each
-    anomaly carries classify_orbit's verdict, modes included; the KDE runs
-    only where they are read, for a mixed verdict or an anomaly.
+    anomaly carries its ASN's verdict, modes included; the KDE runs only
+    where they are read, for a mixed verdict or an anomaly.
     """
     _check_prominence(min_prominence)  # before any verdict, whether or not its modes are computed
     out: list[AsnAnomaly] = []

@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 from ipaddress import ip_address
+from typing import Mapping, Sequence
 
-from snoscope.catalog import SnoCatalog
+from snoscope.catalog import OrbitBand, SnoCatalog
 from snoscope.filtering import STAGE_REJECTED, ClassifiedCorpus
 from snoscope.ingest import SNAPSHOT_FIELDS, UNRESPONSIVE, Hop, HopReply, SpeedTestSession, TracerouteMeasurement
 from snoscope.metrics import SessionMetrics, session_metrics
+from snoscope.profiling import OrbitVerdict, _orbit_verdict, _verdict_modes
 from snoscope.util import format_rfc3339
 
 
@@ -85,6 +87,24 @@ def corpus_metrics(
         if not (accepted_only and stage == STAGE_REJECTED):
             out.append(session_metrics(session, sno=sno))
     return out
+
+
+def classify_orbit(
+    latencies: Sequence[float],
+    bands: Mapping[str, OrbitBand] | None = None,
+    dominance: float = 0.8,
+    terrestrial_ms: float = 20.0,
+    min_samples: int = 10,
+    min_prominence: float = 0.05,
+) -> OrbitVerdict:
+    """One population's orbit verdict with its KDE modes, whatever the verdict.
+
+    flag_asn_anomalies computes the modes only where its check reads them;
+    this is the verdict its anomalies must carry.
+    """
+    verdict = _orbit_verdict(latencies, bands, dominance, terrestrial_ms, min_samples)
+    verdict.modes_ms = _verdict_modes(latencies, min_prominence)
+    return verdict
 
 
 def mapped_asns(catalog: SnoCatalog) -> int:

@@ -17,7 +17,7 @@ from ipaddress import ip_network
 import numpy as np
 import pytest
 
-from helpers import corpus_metrics, make_session
+from helpers import classify_orbit, corpus_metrics, make_session
 from snoscope.bgp import build_graph, coverage_score, snapshot_diff
 from snoscope.catalog import DEFAULT_BANDS
 from snoscope.cli import main as cli_main
@@ -39,7 +39,6 @@ from snoscope.ingest import (
 from snoscope.metrics import GROUPING_PEP, compare_groups, session_metrics
 from snoscope.profiling import (
     VERDICT_MIXED,
-    classify_orbit,
     kde,
     modes,
     percentile,

@@ -1,4 +1,4 @@
-"""Operator catalog: orbit bands, entries, ASN lookup, and curation merge."""
+"""Operator catalog: orbit bands, entries, and ASN lookup."""
 
 from __future__ import annotations
 
@@ -10,13 +10,11 @@ from snoscope.catalog import (
     ORBITS,
     ROLE_EXCLUDED,
     ROLE_SUBSCRIBER,
-    SATELLITE_CATEGORY,
     CatalogConflictError,
     SnoCatalog,
     SnoEntry,
     band_containing,
     band_of,
-    build_catalog,
     make_bands,
 )
 
@@ -121,61 +119,6 @@ class TestSnoCatalog:
                     SnoEntry("a", frozenset({2}), frozenset({"GEO"})),
                 ]
             )
-
-
-class TestBuildCatalog:
-    def test_database_rows_plus_manual_additions(self):
-        # 129 satellite-category rows across 10 orgs, plus manual entries
-        # contributing 35 previously unseen ASNs: 164 mapped ASNs total.
-        rows = [
-            {"asn": 1000 + i, "org": f"op-{i % 10}", "category": SATELLITE_CATEGORY}
-            for i in range(129)
-        ]
-        rows.append({"asn": 5000, "org": "an isp", "category": "Internet Service Provider"})
-        additions = [
-            SnoEntry("manual-a", frozenset(range(2000, 2020)), frozenset({"GEO"})),
-            SnoEntry("manual-b", frozenset(range(3000, 3015)), frozenset({"LEO"})),
-        ]
-        catalog = build_catalog(rows, manual_additions=additions)
-        assert mapped_asns(catalog) == 129 + 35
-        assert len(catalog) == 10 + 2
-        assert catalog.lookup(5000) is None  # non-satellite category dropped
-
-    def test_addition_merges_into_database_entry_by_name(self):
-        rows = [{"asn": 100, "org": "acme sat", "category": SATELLITE_CATEGORY}]
-        additions = [SnoEntry("acme sat", frozenset({200}), frozenset({"GEO"}), pep=True)]
-        catalog = build_catalog(rows, manual_additions=additions)
-        entry = catalog.get("acme sat")
-        assert entry.asns == frozenset({100, 200})
-        assert entry.orbits == frozenset({"GEO"})
-        assert entry.pep is True
-
-    def test_manual_exclusions_drop_asns_everywhere(self):
-        rows = [
-            {"asn": 100, "org": "acme sat", "category": SATELLITE_CATEGORY},
-            {"asn": 101, "org": "acme sat", "category": SATELLITE_CATEGORY},
-        ]
-        additions = [SnoEntry("other", frozenset({101, 300}), frozenset({"GEO"}))]
-        catalog = build_catalog(rows, manual_additions=additions, manual_exclusions=[101])
-        assert catalog.lookup(101) is None
-        assert catalog.get("acme sat").asns == frozenset({100})
-        assert catalog.get("other").asns == frozenset({300})
-
-    def test_cross_operator_claim_rejected(self):
-        rows = [
-            {"asn": 100, "org": "op-a", "category": SATELLITE_CATEGORY},
-            {"asn": 100, "org": "op-b", "category": SATELLITE_CATEGORY},
-        ]
-        with pytest.raises(CatalogConflictError):
-            build_catalog(rows)
-
-    def test_same_org_repeat_rows_collapse(self):
-        rows = [
-            {"asn": 100, "org": "op-a", "category": SATELLITE_CATEGORY},
-            {"asn": 100, "org": "op-a", "category": SATELLITE_CATEGORY},
-        ]
-        catalog = build_catalog(rows)
-        assert mapped_asns(catalog) == 1
 
 
 class TestBundledCatalog:

@@ -217,6 +217,32 @@ class TestClassifyCommand:
         boxstats = {row[0]: row for row in read_csv(tmp_path / "report" / "boxstats.csv")}
         assert boxstats["latency:viasat"][6] == "1"
 
+    def test_repeated_ids_are_screened_in_their_own_prefix(self, tmp_path):
+        # Ten hughes (GEO) sessions at 600-609 ms make 10.1.2.0/24 pass the strict
+        # stage. A 30 ms twin of s0 in another /24, and one of s1 from IPv6, fall
+        # below the 600 ms threshold it sets.
+        sessions = [
+            make_session(f"s{i}", rtts=[600.0 + i] * 2, client_ip=f"10.1.2.{i + 1}", client_asn=28613) for i in range(10)
+        ]
+        sessions.append(make_session("s0", rtts=[30.0] * 2, client_ip="10.9.9.1", client_asn=28613))
+        sessions.append(make_session("s1", rtts=[30.0] * 2, client_ip="2001:db8::1", client_asn=28613))
+        speedtests = tmp_path / "speedtests.ndjson"
+        speedtests.write_text("".join(session_to_json(s) + "\n" for s in sessions))
+        out = tmp_path / "classified"
+        assert main(["classify", "--input", str(speedtests), "--out", str(out)]) == 0
+        dispositions = [(d["session_id"], d["stage"], d["reason"]) for d in read_ndjson(out / "dispositions.ndjson")]
+        assert dispositions[:4] == [
+            ("s0", "accepted_strict", None),
+            ("s0", "rejected", "below_threshold"),
+            ("s1", "accepted_strict", None),
+            ("s1", "rejected", "below_threshold"),
+        ]
+        assert dispositions[4:] == [(f"s{i}", "accepted_strict", None) for i in range(2, 10)]
+        assert read_csv(out / "summary.csv")[1:] == [["hughes", "GEO", "10", "2", "600.000"]]
+        assert report_metrics(speedtests, out / "dispositions.ndjson", tmp_path / "report") == 0
+        boxstats = {row[0]: row[1:] for row in read_csv(tmp_path / "report" / "boxstats.csv")}
+        assert boxstats["latency:GEO"] == ["600.45", "602.25", "604.5", "606.75", "608.55", "10"]
+
     def test_summary_lists_both_operators(self, classify_dir):
         rows = read_csv(classify_dir / "summary.csv")
         assert rows[0] == ["sno", "orbit", "accepted", "rejected", "threshold_ms"]
@@ -611,6 +637,30 @@ def test_report_traceroute_digests_on_the_default_corpus(default_corpus, tmp_pat
     argv = ["report", "traceroute", "--input", str(default_corpus["traceroutes.ndjson"])]
     assert main(argv + ["--rdns", str(default_corpus["rdns.csv"]), "--out", str(tmp_path)]) == 0
     assert {name: sha256_file(tmp_path / name) for name in DEFAULT_TRACEROUTE_DIGESTS} == DEFAULT_TRACEROUTE_DIGESTS
+
+
+# classify's and report metrics' outputs on the default corpus (bundled spec, seed 20230501).
+DEFAULT_CLASSIFY_DIGESTS = {
+    "anomalies.ndjson": "34542569ad4a2997c04ca2008f275bc4cf071f3747720167e5caf3e51f52cff7",
+    "dispositions.ndjson": "e92564929b6fd1b2a67e1624d0a544567a008a69ffb39d2b4160d099d140b993",
+    "manifest.json": "fab492dd00b0aaced023226a1430f8e2e278446d9899349c463aad76bbfd8fd4",
+    "session_metrics.npy": "94ec79fee7823113d7dacce39d3d153a7359211ba0821147fd30b9eaefc659f3",
+    "summary.csv": "3c8667efbeb2f4e17f179ff9f72112d22cf338a0368237beec855f0f4831c02c",
+}
+DEFAULT_METRICS_DIGESTS = {
+    "boxstats.csv": "ee803b693ec5abd649911c103ccac7a5b59c821f356c507f46ca3c3bd79653cf",
+    "cdf.csv": "7a9833f1bf03e8dc6c76f0aa81a3dd44c7ff49abf6a1fb5485cffa6b72ae3fd0",
+    "daily.csv": "07a19d2e7c02b1284fd55ea96b715d853ac6c3fc5ed75883739b27af3b3acc42",
+}
+
+
+def test_classify_and_report_metrics_digests_on_the_default_corpus(default_corpus, tmp_path):
+    speedtests = default_corpus["speedtests.ndjson"]
+    classified, report = tmp_path / "classified", tmp_path / "report"
+    assert main(["classify", "--input", str(speedtests), "--out", str(classified)]) == 0
+    assert {name: sha256_file(classified / name) for name in DEFAULT_CLASSIFY_DIGESTS} == DEFAULT_CLASSIFY_DIGESTS
+    assert report_metrics(speedtests, classified / "dispositions.ndjson", report) == 0
+    assert {name: sha256_file(report / name) for name in DEFAULT_METRICS_DIGESTS} == DEFAULT_METRICS_DIGESTS
 
 
 @pytest.fixture(scope="module")

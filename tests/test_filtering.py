@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 from ipaddress import ip_address, ip_network
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import make_session
 from snoscope.catalog import DEFAULT_BANDS, SnoCatalog, SnoEntry
@@ -28,6 +31,7 @@ from snoscope.filtering import (
     strict_filter,
     summary_rows,
 )
+from snoscope.ingest import SessionRow
 
 
 def ref(session_id: str, ip: str, latency: float, sno: str = "viasat") -> SessionRef:
@@ -38,6 +42,10 @@ def ref(session_id: str, ip: str, latency: float, sno: str = "viasat") -> Sessio
         ipv4=int(address) if address.version == 4 else -1,
         access_latency_ms=latency,
     )
+
+
+# The orbit bands as README states them: [lo, hi) access latency in ms.
+ORACLE_BANDS = {"LEO": (0.0, 200.0), "MEO": (200.0, 500.0), "GEO": (500.0, math.inf)}
 
 
 def catalog_fixture() -> SnoCatalog:
@@ -256,36 +264,63 @@ class TestRunPipeline:
 
 
 class TestPipelineAgainstOracle:
-    """Random GEO-operator corpora scored by a from-scratch reimplementation."""
+    """Corpora scored by a from-scratch reimplementation of the stages."""
 
     def _oracle(self, sessions, min_tests=10, floor=DEFAULT_GLOBAL_FLOOR_MS):
-        """Stage per session, derived straight from the stage definitions."""
-        latency = {s.session_id: s.rtt_ms[0] for s in sessions}  # flat RTTs
-        by_prefix: dict[str, list] = {}
-        v6 = []
-        for s in sessions:
-            if s.client_ip.version == 6:
-                v6.append(s)
+        """(stage, reason) per input position, and each screened operator's threshold.
+
+        Derived straight from the stage definitions. sessions are
+        (session_id, client_asn, client address text, access latency)
+        tuples; a /24 is the dotted text up to its last dot.
+        """
+        catalog = catalog_fixture()
+        owner = {}
+        for entry in catalog.entries:
+            owner.update({asn: (entry, True) for asn in entry.asns})
+            owner.update({asn: (entry, False) for asn in entry.excluded_asns})
+        outcomes = [None] * len(sessions)
+        screened: dict[str, list[int]] = {}
+        for i, (_, asn, _, _) in enumerate(sessions):
+            entry, subscriber = owner.get(asn, (None, False))
+            if entry is None:
+                outcomes[i] = (STAGE_REJECTED, REASON_UNKNOWN_ASN)
+            elif not subscriber:
+                outcomes[i] = (STAGE_REJECTED, REASON_EXCLUDED_ASN)
+            elif entry.orbits == {"LEO"}:
+                outcomes[i] = (STAGE_ASN, None)
             else:
-                key = str(s.client_ip).rsplit(".", 1)[0]
-                by_prefix.setdefault(key, []).append(s)
-        strict_ids: set[str] = set()
-        strict_lats: list[float] = []
-        for members in by_prefix.values():
-            lats = [latency[s.session_id] for s in members]
-            if len(members) >= min_tests and all(lat >= 500.0 for lat in lats):
-                strict_ids.update(s.session_id for s in members)
-                strict_lats.extend(lats)
-        threshold = min(strict_lats) if strict_lats else floor
-        stages = {}
-        for s in sessions:
-            if s.session_id in strict_ids:
-                stages[s.session_id] = STAGE_STRICT
-            elif latency[s.session_id] >= threshold:
-                stages[s.session_id] = STAGE_RELAXED
-            else:
-                stages[s.session_id] = STAGE_REJECTED
-        return stages, threshold
+                screened.setdefault(entry.name, []).append(i)
+        thresholds = {}
+        for name, members in screened.items():
+            bands = [ORACLE_BANDS[orbit] for orbit in catalog.get(name).orbits]
+            by_prefix: dict[str, list[int]] = {}
+            for i in members:
+                address = sessions[i][2]
+                if ":" not in address:
+                    by_prefix.setdefault(address.rsplit(".", 1)[0], []).append(i)
+            strict: set[int] = set()
+            for prefix_members in by_prefix.values():
+                lats = [sessions[i][3] for i in prefix_members]
+                if len(lats) >= min_tests and all(any(lo <= lat < hi for lo, hi in bands) for lat in lats):
+                    strict.update(prefix_members)
+            threshold = thresholds[name] = min((sessions[i][3] for i in strict), default=floor)
+            for i in members:
+                if i in strict:
+                    outcomes[i] = (STAGE_STRICT, None)
+                elif sessions[i][3] >= threshold:
+                    outcomes[i] = (STAGE_RELAXED, None)
+                else:
+                    outcomes[i] = (STAGE_REJECTED, REASON_BELOW_THRESHOLD)
+        return outcomes, thresholds
+
+    def _outcomes(self, corpus):
+        """(stage, reason) per input position, and the thresholds, as run_pipeline gave them."""
+        assert sorted(d.index for d in corpus.dispositions) == list(range(corpus.input_count))
+        outcomes = [None] * corpus.input_count
+        for d in corpus.dispositions:
+            outcomes[d.index] = (d.stage, d.reason)
+        thresholds = {name: r.threshold_ms for name, r in corpus.per_sno.items() if r.threshold_ms is not None}
+        return outcomes, thresholds
 
     def _random_corpus(self, rng):
         sessions = []
@@ -319,11 +354,42 @@ class TestPipelineAgainstOracle:
         catalog = catalog_fixture()
         for _ in range(100):
             sessions = self._random_corpus(rng)
-            corpus = run_pipeline(sessions, catalog)
-            oracle_stages, oracle_threshold = self._oracle(sessions)
-            got = {d.session_id: d.stage for d in corpus.dispositions}
-            assert got == oracle_stages
-            assert corpus.per_sno["viasat"].threshold_ms == oracle_threshold
+            drawn = [(s.session_id, s.client_asn, str(s.client_ip), s.rtt_ms[0]) for s in sessions]  # flat RTTs
+            assert self._outcomes(run_pipeline(sessions, catalog)) == self._oracle(drawn)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sessions=st.lists(
+            st.tuples(
+                st.sampled_from(["s0", "s1", "s2"]),
+                st.sampled_from([13955, 12684, 14593, 27277, 64500]),
+                st.sampled_from(["100.7.0.1", "100.7.0.2", "100.7.1.1", "100.7.2.9", "2001:db8::1"]),
+                st.sampled_from([30.0, 199.999, 200.0, 350.0, 499.999, 500.0, 527.0, 600.0, 609.0, 900.0]),
+            ),
+            max_size=16,
+        ),
+        min_tests=st.integers(1, 4),
+        floor=st.sampled_from([DEFAULT_GLOBAL_FLOOR_MS, 250.0]),
+    )
+    @example(  # twins of strictly accepted sessions: in another /24, from IPv6, and at the ASN stage
+        sessions=[
+            ("s0", 13955, "100.7.0.1", 600.0),
+            ("s1", 13955, "100.7.0.2", 609.0),
+            ("s0", 13955, "100.7.1.1", 30.0),
+            ("s1", 13955, "2001:db8::1", 30.0),
+            ("s0", 12684, "100.7.0.1", 30.0),
+            ("s1", 64500, "100.7.0.2", 600.0),
+        ],
+        min_tests=2,
+        floor=DEFAULT_GLOBAL_FLOOR_MS,
+    )
+    def test_repeated_ids_are_each_screened_in_their_own_place(self, sessions, min_tests, floor):
+        rows = [
+            SessionRow(sid, asn, int(ip_address(text)) if ":" not in text else -1, lat, 1.0, math.nan, 738000)
+            for sid, asn, text, lat in sessions
+        ]
+        corpus = run_pipeline(rows, catalog_fixture(), min_tests=min_tests, global_floor_ms=floor)
+        assert self._outcomes(corpus) == self._oracle(sessions, min_tests, floor)
 
     def test_strict_accepts_always_clear_the_relaxed_cutoff(self):
         rng = random.Random(77)

@@ -16,10 +16,7 @@ from snoscope.metrics import (
     GROUPING_SNO,
     compare_groups,
     daily_median_series,
-    daily_variation,
     group_label,
-    orbit_group,
-    pep_group,
     session_metrics,
     summarize,
 )
@@ -121,37 +118,8 @@ class TestDailyMedianSeries:
         series = daily_median_series(metrics, "retrans_fraction")
         assert series == [(date(2021, 3, 1), 0.01)]
 
-    def test_selector_callable(self):
-        series = daily_median_series(self._metrics(), lambda m: m.latency_p5_ms * 2)
-        assert series[0] == (date(2021, 3, 1), 1220.0)
-
     def test_empty_input(self):
         assert daily_median_series([]) == []
-
-
-class TestDailyVariation:
-    def test_steady_series(self):
-        series = [
-            (date(2021, 3, 1), 100.0),
-            (date(2021, 3, 2), 103.0),
-            (date(2021, 3, 3), 100.0),
-            (date(2021, 3, 4), 97.0),
-            (date(2021, 3, 5), 100.0),
-        ]
-        assert daily_variation(series) == pytest.approx(0.03)
-
-    def test_two_day_series(self):
-        series = [(date(2021, 3, 1), 100.0), (date(2021, 3, 2), 141.4)]
-        assert daily_variation(series) == pytest.approx(41.4 / 120.7)
-
-    def test_needs_two_days(self):
-        with pytest.raises(ValueError):
-            daily_variation([(date(2021, 3, 1), 100.0)])
-
-    def test_zero_median_undefined(self):
-        series = [(date(2021, 3, 1), 0.0), (date(2021, 3, 2), 0.0)]
-        with pytest.raises(ValueError):
-            daily_variation(series)
 
 
 class TestSummarize:
@@ -181,17 +149,17 @@ class TestSummarize:
 
 class TestGroupLabels:
     def test_orbit_grouping(self, bundled_catalog):
-        assert orbit_group(bundled_catalog.get("starlink")) == "LEO"
-        assert orbit_group(bundled_catalog.get("o3b")) == "MEO"
-        assert orbit_group(bundled_catalog.get("ses")) == "MEO+GEO"
-        assert orbit_group(bundled_catalog.get("viasat")) == "GEO"
+        assert group_label(bundled_catalog.get("starlink"), GROUPING_ORBIT) == "LEO"
+        assert group_label(bundled_catalog.get("o3b"), GROUPING_ORBIT) == "MEO"
+        assert group_label(bundled_catalog.get("ses"), GROUPING_ORBIT) == "MEO+GEO"
+        assert group_label(bundled_catalog.get("viasat"), GROUPING_ORBIT) == "GEO"
 
     def test_pep_grouping_splits_geo(self, bundled_catalog):
-        assert pep_group(bundled_catalog.get("viasat")) == "GEO (PEP)"
-        assert pep_group(bundled_catalog.get("telalaska")) == "GEO (others)"
-        assert pep_group(bundled_catalog.get("ses")) == "GEO (others)"  # hybrid, no proxy
-        assert pep_group(bundled_catalog.get("starlink")) == "LEO"
-        assert pep_group(bundled_catalog.get("o3b")) == "MEO"
+        assert group_label(bundled_catalog.get("viasat"), GROUPING_PEP) == "GEO (PEP)"
+        assert group_label(bundled_catalog.get("telalaska"), GROUPING_PEP) == "GEO (others)"
+        assert group_label(bundled_catalog.get("ses"), GROUPING_PEP) == "GEO (others)"  # hybrid, no proxy
+        assert group_label(bundled_catalog.get("starlink"), GROUPING_PEP) == "LEO"
+        assert group_label(bundled_catalog.get("o3b"), GROUPING_PEP) == "MEO"
 
     def test_group_label_dispatch(self, bundled_catalog):
         entry = bundled_catalog.get("viasat")

@@ -14,7 +14,7 @@ import statistics
 import numpy as np
 import pytest
 
-from helpers import make_session
+from helpers import classify_orbit, make_session
 from snoscope import profiling
 from snoscope.catalog import SnoCatalog, SnoEntry, make_bands
 from snoscope.profiling import (
@@ -24,7 +24,6 @@ from snoscope.profiling import (
     DegenerateSampleError,
     InsufficientSamplesError,
     access_latency,
-    classify_orbit,
     find_peaks,
     flag_asn_anomalies,
     kde,
