@@ -360,15 +360,28 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # report: metrics
 
 
+_STAGES = (filtering.STAGE_ASN, filtering.STAGE_STRICT, filtering.STAGE_RELAXED, filtering.STAGE_REJECTED)
+
+
 def _load_dispositions(path: Path) -> list[tuple[str, str | None, str]]:
-    """Each line's (session_id, sno, stage), in file order."""
+    """Each line's (session_id, sno, stage), in file order; a line of another shape is a ValueError."""
     rows: list[tuple[str, str | None, str]] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            rows.append((obj["session_id"], obj.get("sno"), obj["stage"]))
+            try:
+                obj = _loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("a disposition must be a JSON object")
+                session_id, sno, stage = _as_str(obj.get("session_id"), "session_id"), obj.get("sno"), obj.get("stage")
+                if stage not in _STAGES:
+                    raise ValueError(f"unknown stage {stage!r}")
+                if sno is not None and not isinstance(sno, str):
+                    raise ValueError("sno must be a string or null")
+            except ValueError as exc:
+                raise ValueError(f"{path} line {line_no}: {exc}") from None
+            rows.append((session_id, sno, stage))
     return rows
 
 
@@ -583,6 +596,7 @@ def cmd_report_bgp(args: argparse.Namespace) -> int:
     catalog = parse_catalog(opts.catalog)
     entry = catalog.get(opts.sno)
     registry = parse_registry(opts.registry)
+    truth = None if opts.pops is None else list(parse_pop_table(opts.pops).values())
     errors = ParseErrors()
     graphs = [
         bgp.build_graph(errors.skip(parse_aspath_stream(path, strictness=opts.strictness())), entry, registry)
@@ -604,8 +618,7 @@ def cmd_report_bgp(args: argparse.Namespace) -> int:
             for country in sorted(bgp.infer_countries(graph))
         ),
     )
-    if opts.pops is not None:
-        truth = list(parse_pop_table(opts.pops).values())
+    if truth is not None:
         _write_csv(
             out / "coverage.csv",
             ("snapshot", "country_fraction", "city_fraction", "truth_countries", "truth_cities"),

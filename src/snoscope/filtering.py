@@ -17,7 +17,7 @@ from ipaddress import IPv4Network
 from typing import Iterable, Mapping, Sequence
 
 from .catalog import DEFAULT_BANDS, ORBITS, ROLE_SUBSCRIBER, OrbitBand, SnoCatalog, SnoEntry
-from .ingest import SessionRow, SpeedTestSession, session_row
+from .ingest import SessionRow
 
 # Relaxed-stage fallback when no prefix passes the strict stage: the lowest
 # latency observed among strictly accepted sessions of any MEO/GEO operator.
@@ -221,7 +221,7 @@ def _filter_sno(
 
 
 def run_pipeline(
-    rows: Iterable[SessionRow | SpeedTestSession],
+    rows: Iterable[SessionRow],
     catalog: SnoCatalog,
     min_tests: int = DEFAULT_MIN_TESTS,
     global_floor_ms: float = DEFAULT_GLOBAL_FLOOR_MS,
@@ -230,10 +230,9 @@ def run_pipeline(
 ) -> ClassifiedCorpus:
     """Classify a corpus of session rows against an operator catalog.
 
-    A SpeedTestSession is classified by its session_row. Every input
-    session receives exactly one disposition. Sessions of unknown or
-    excluded ASNs are rejected at the ASN stage; pure-LEO operators accept
-    at the ASN stage; MEO/GEO (and hybrid) operators run
+    Every input session receives exactly one disposition. Sessions of
+    unknown or excluded ASNs are rejected at the ASN stage; pure-LEO
+    operators accept at the ASN stage; MEO/GEO (and hybrid) operators run
     the strict/relaxed prefix screen against the union of their declared
     bands. The result is independent of input order and of the worker
     count: per-operator work is keyed and merged in sorted order, and
@@ -258,8 +257,6 @@ def run_pipeline(
         return result
 
     for index, row in enumerate(rows):
-        if isinstance(row, SpeedTestSession):
-            row = session_row(row)
         session_id, asn, ipv4, latency = row[:4]
         input_count += 1
         hit = catalog.lookup(asn)

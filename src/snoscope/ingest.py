@@ -5,13 +5,13 @@ whitespace-separated AS-path lines) plus four side tables (operator catalog,
 ASN registry, PoP locations, reverse DNS). Parsers are streaming and
 line-oriented: under the default lenient policy a malformed line is reported
 as a RecordError value and parsing continues; under the strict policy the
-first malformed line raises. A speed-test corpus file can also be parsed into
-one SessionRow per session, over byte ranges in worker processes.
+first malformed line raises. A speed-test session is parsed into the
+SessionRow classify keeps of it; a corpus file can also be parsed over byte
+ranges in worker processes.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
@@ -223,8 +223,6 @@ def _iter_lines(
         return
     if digest is not None:
         raise ValueError("hashing a stream needs a file path source")
-    if isinstance(source, bytes):
-        source = io.BytesIO(source)
     yield from enumerate(source, start=1)
 
 
@@ -242,6 +240,14 @@ def _check_strictness(strictness: str) -> None:
         raise ValueError(f"unknown strictness {strictness!r}")
 
 
+def _record_error(line_no: int, reason: str, strictness: str) -> RecordError:
+    """A malformed line's RecordError, raised under strict parsing; see module docstring for policy."""
+    error = RecordError(line_no, reason)
+    if strictness == STRICTNESS_STRICT:
+        raise error from None
+    return error
+
+
 def _line_stream(source: Source, strictness: str, parse: Callable[[str], R | None]) -> Iterator[R | RecordError]:
     """Each decoded line's parse, bar None for a line holding no record; see module docstring for policy.
 
@@ -252,10 +258,7 @@ def _line_stream(source: Source, strictness: str, parse: Callable[[str], R | Non
         try:
             record = parse(_decode(raw))
         except ValueError as exc:
-            error = RecordError(line_no, str(exc))
-            if strictness == STRICTNESS_STRICT:
-                raise error from None
-            yield error
+            yield _record_error(line_no, str(exc), strictness)
             continue
         if record is not None:
             yield record
@@ -438,26 +441,26 @@ def _int_column(values: list[Any]) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-def _check_snapshots(columns: Sequence[list[Any]], counts: Sequence[int]) -> tuple[list[bool], list[list[Any]]]:
+def _check_snapshots(columns: Sequence[list[Any]], counts: Sequence[int]) -> tuple[list[bool], Sequence[list[Any]]]:
     """Run every snapshot check of session_from_dict over many sessions at once.
 
     columns hold the SNAPSHOT_FIELDS of len(counts) sessions end to end,
     counts[i] snapshots for session i. Returns whether each session passed,
-    and the columns holding the values session_from_dict gives for them
-    (floats for the float fields). When a column cannot be checked at once
+    and the columns a row reads (rtt_ms, rtt_var_ms, bytes_sent, bytes_retrans)
+    as session_from_dict gives them. When a column cannot be checked at once
     (a value of the wrong type, or a number too large for its dtype), every
     session fails here, and session_from_dict accepts or rejects each one.
     """
     sent, retrans, rates = columns[3:]
     try:
-        (t_offset, offsets), (rtt, rtts), (rtt_var, rtt_vars) = map(_float_column, columns[:3])
+        (t_offset, _), (rtt, rtts), (rtt_var, rtt_vars) = map(_float_column, columns[:3])
         sent_a, retrans_a = _int_column(sent), _int_column(retrans)
         kinds = set(map(type, rates))
         if not kinds <= {int, float, type(None)}:
             raise _NotColumnar
         rate = np.array(rates, dtype=np.float64)  # a missing rate is NaN
     except (_NotColumnar, OverflowError):
-        return [False] * len(counts), list(columns)
+        return [False] * len(counts), columns[1:5]
     missing = np.array([r is None for r in rates], dtype=bool) if type(None) in kinds else np.zeros(len(rate), dtype=bool)
 
     finite = np.isfinite(t_offset) & np.isfinite(rtt) & np.isfinite(rtt_var) & (missing | np.isfinite(rate))
@@ -471,10 +474,7 @@ def _check_snapshots(columns: Sequence[list[Any]], counts: Sequence[int]) -> tup
         (t_offset[1:] <= t_offset[:-1]) | (sent_a[1:] < sent_a[:-1]) | (retrans_a[1:] < retrans_a[:-1])
     )
     verdicts = ~np.logical_or.reduceat(bad, starts)
-
-    if int in kinds:
-        rates = [None if given is None else value for given, value in zip(rates, rate.tolist())]
-    return verdicts.tolist(), [offsets, rtts, rtt_vars, sent, retrans, rates]
+    return verdicts.tolist(), [rtts, rtt_vars, sent, retrans]
 
 
 def _chunk_record(obj: Any, columns: Sequence[list[Any]], counts: list[int]) -> tuple[str, datetime, IPAddress, int] | None:
@@ -518,16 +518,14 @@ def session_row(session: SpeedTestSession) -> SessionRow:
     return _row(identity, session.rtt_ms, session.rtt_var_ms, session.bytes_sent[-1], session.bytes_retrans[-1])
 
 
-def _parse_chunk(
-    lines: Sequence[tuple[int, str | bytes]], strictness: str, rows: bool = False
-) -> Iterator[SpeedTestSession | SessionRow | RecordError]:
-    """Parse a chunk of speed-test lines into sessions, or with rows into their SessionRows.
+def _parse_chunk(lines: Sequence[tuple[int, str | bytes]], strictness: str) -> Iterator[SessionRow | RecordError]:
+    """Parse a chunk of speed-test lines into their SessionRows.
 
     Each line is decoded, and its snapshot fields are moved into the chunk's
-    columns, which are checked together. Sessions or rows are then built one
-    at a time, as they are consumed. A record that fails a check is parsed
-    again by session_from_dict, which gives the reason it is rejected, or
-    the session its row is taken from.
+    columns, which are checked together. Rows are then built one at a time,
+    as they are consumed. A record that fails a check is parsed again by
+    session_from_dict, which gives the reason it is rejected, or the session
+    its row is taken from.
     """
     records: list[tuple[int, str | bytes, tuple[str, datetime, IPAddress, int] | None]] = []
     columns: list[list[Any]] = [[] for _ in SNAPSHOT_FIELDS]
@@ -541,48 +539,32 @@ def _parse_chunk(
         except ValueError:
             identity = None
         records.append((line_no, raw, identity))
-    verdicts, columns = _check_snapshots(columns, counts)
-    offsets, rtts, rtt_vars, sent, retrans, rates = columns
+    verdicts, (rtts, rtt_vars, sent, retrans) = _check_snapshots(columns, counts)
     checked = zip(verdicts, accumulate(counts))
     stop = 0
     for line_no, raw, identity in records:
         if identity is not None:
             passed, end = next(checked)
             start, stop = stop, end
-            if passed and rows:
+            if passed:
                 yield _row(identity, rtts[start:stop], rtt_vars[start:stop], sent[stop - 1], retrans[stop - 1])
                 continue
-            if passed:
-                yield SpeedTestSession(
-                    *identity,
-                    DIRECTION_DOWNLOAD,
-                    offsets[start:stop],
-                    rtts[start:stop],
-                    rtt_vars[start:stop],
-                    sent[start:stop],
-                    retrans[start:stop],
-                    rates[start:stop],
-                )
-                continue
         try:
-            session = session_from_dict(_loads(_decode(raw)))
-            item: SpeedTestSession | SessionRow | RecordError = session_row(session) if rows else session
+            item: SessionRow | RecordError = session_row(session_from_dict(_loads(_decode(raw))))
         except ValueError as exc:
-            item = RecordError(line_no, str(exc))
-            if strictness == STRICTNESS_STRICT:
-                raise item from None
+            item = _record_error(line_no, str(exc), strictness)
         yield item
 
 
 def parse_speedtest_stream(
     source: Source, strictness: str = STRICTNESS_LENIENT, digest: Any = None
-) -> Iterator[SpeedTestSession | RecordError]:
-    """Stream speed-test sessions from NDJSON; see module docstring for policy.
+) -> Iterator[SessionRow | RecordError]:
+    """Stream the SessionRows of speed-test NDJSON, on one core; see module docstring for policy.
 
-    Lines are read CHUNK_LINES at a time, so a strict parse reads up to one
-    chunk past the malformed line it raises at. A digest (a hashlib object)
-    receives the bytes of a path source as they are read, so the corpus is
-    hashed in the same pass that parses it.
+    Items come in line order. Lines are read CHUNK_LINES at a time, so a
+    strict parse reads up to one chunk past the malformed line it raises at.
+    A digest (a hashlib object) receives the bytes of a path source as they
+    are read, so the corpus is hashed in the same pass that parses it.
     """
     _check_strictness(strictness)
     lines = _iter_lines(source, digest)
@@ -617,7 +599,7 @@ def parse_speedtest_range(path: str | Path, start: int, end: int, strictness: st
         for chunk in iter(lambda: list(islice(lines, CHUNK_LINES)), []):
             shard.lines = chunk[-1][0]
             rows = []
-            for item in _parse_chunk(chunk, strictness, rows=True):
+            for item in _parse_chunk(chunk, strictness):
                 (shard.errors if type(item) is RecordError else rows).append(item)
             if rows:
                 ids, *values = zip(*rows)
@@ -656,10 +638,7 @@ def _merge_shards(shards: Iterable[SpeedTestShard], strictness: str) -> Iterator
     offset = 0
     for shard in shards:
         for error in shard.errors:
-            error = RecordError(offset + error.line_no, error.reason)
-            if strictness == STRICTNESS_STRICT:
-                raise error
-            yield error
+            yield _record_error(offset + error.line_no, error.reason, strictness)
         yield from map(SessionRow, shard.ids, *shard.columns)
         offset += shard.lines
 
@@ -667,23 +646,25 @@ def _merge_shards(shards: Iterable[SpeedTestShard], strictness: str) -> Iterator
 def parse_speedtest_rows(
     path: str | Path, strictness: str = STRICTNESS_LENIENT, digest: Any = None, parallelism: int | None = None
 ) -> Iterator[SessionRow | RecordError]:
-    """Stream a speed-test corpus file's SessionRows and RecordErrors, those of each range in turn.
+    """Stream a speed-test corpus file's SessionRows and RecordErrors.
 
-    One range (see _shard_ranges) is parsed in this process, more by as many forked worker
-    processes; the items are those of parse_speedtest_stream and session_row, however the file
-    is split. A digest (a hashlib object) receives the file's bytes while workers parse.
+    One range (see _shard_ranges) is parsed in this process by
+    parse_speedtest_stream; more by as many forked worker processes, each
+    range's errors before its rows. The rows and errors are the same however
+    the file is split. A digest (a hashlib object) receives the file's bytes.
     """
-    starts, ends = zip(*_shard_ranges(path, parallelism))
-    with contextlib.ExitStack() as stack:
-        run = map
-        if len(starts) > 1:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+    ranges = _shard_ranges(path, parallelism)
+    if len(ranges) == 1:
+        yield from parse_speedtest_stream(path, strictness, digest)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-            # A forked worker starts with this process's imports, and needs only its range.
-            context = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-            run = stack.enter_context(ProcessPoolExecutor(len(starts), mp_context=context)).map
-        shards = run(parse_speedtest_range, repeat(path), starts, ends, repeat(strictness))
+    starts, ends = zip(*ranges)
+    # A forked worker starts with this process's imports, and needs only its range.
+    context = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+    with ProcessPoolExecutor(len(starts), mp_context=context) as pool:
+        shards = pool.map(parse_speedtest_range, repeat(path), starts, ends, repeat(strictness))
         if digest is not None:
             with open(path, "rb") as handle:
                 for block in iter(lambda: handle.read(1 << 16), b""):

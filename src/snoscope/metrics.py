@@ -13,6 +13,7 @@ corpus again.
 
 from __future__ import annotations
 
+import io
 import math
 from array import array
 from dataclasses import dataclass
@@ -99,10 +100,15 @@ def save_session_table(path: str | Path, table: np.ndarray) -> None:
 
 
 def load_session_table(path: str | Path) -> np.ndarray:
-    table = np.load(path, allow_pickle=False)
-    if table.dtype != SESSION_TABLE_DTYPE or table.ndim != 1:
-        raise ValueError(f"{path} is not a session table: dtype {table.dtype}, shape {table.shape}")
-    return table
+    """A session table as save_session_table wrote it: the exact header np.save gives its rows, then the rows."""
+    data = Path(path).read_bytes()
+    body = 10 + int.from_bytes(data[8:10], "little")  # where a version 1.0 header says the rows start
+    rows, extra = divmod(len(data) - body, SESSION_TABLE_DTYPE.itemsize)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {"descr": SESSION_TABLE_DTYPE.descr, "fortran_order": False, "shape": (rows,)})
+    if rows < 0 or extra or data[:body] != header.getvalue():
+        raise ValueError(f"{path} is not a session table")
+    return np.frombuffer(data, dtype=SESSION_TABLE_DTYPE, offset=body)
 
 
 def table_metrics(table: np.ndarray, session_ids: Sequence[str], snos: Sequence[str | None]) -> list[SessionMetrics]:

@@ -2,14 +2,29 @@
 
 from __future__ import annotations
 
+import io
 import json
 from datetime import datetime, timezone
 from ipaddress import ip_address
-from typing import Mapping, Sequence
+from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
 from snoscope.catalog import OrbitBand, SnoCatalog
 from snoscope.filtering import STAGE_REJECTED, ClassifiedCorpus
-from snoscope.ingest import SNAPSHOT_FIELDS, UNRESPONSIVE, Hop, HopReply, SpeedTestSession, TracerouteMeasurement
+from snoscope.ingest import (
+    SNAPSHOT_FIELDS,
+    UNRESPONSIVE,
+    Hop,
+    HopReply,
+    RecordError,
+    SessionRow,
+    SpeedTestSession,
+    TracerouteMeasurement,
+    _decode,
+    _loads,
+    session_from_dict,
+    session_row,
+)
 from snoscope.metrics import SessionMetrics, session_metrics
 from snoscope.profiling import OrbitVerdict, _orbit_verdict, _verdict_modes
 from snoscope.util import format_rfc3339
@@ -44,6 +59,29 @@ def session_to_dict(session: SpeedTestSession) -> dict:
 
 def session_to_json(session: SpeedTestSession) -> str:
     return json.dumps(session_to_dict(session), separators=(",", ":"))
+
+
+def reference_sessions(source: str | Path | Iterable[str | bytes]) -> list[SpeedTestSession | RecordError]:
+    """Each record line's session, checked one field at a time by session_from_dict, or its RecordError.
+
+    source is a path or an iterable of lines; a blank line holds no record.
+    This is the reference the speed-test parse's rows and errors must agree with.
+    """
+    lines = io.BytesIO(Path(source).read_bytes()) if isinstance(source, (str, Path)) else source
+    items: list[SpeedTestSession | RecordError] = []
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            line = _decode(raw)
+            if line.strip():
+                items.append(session_from_dict(_loads(line)))
+        except ValueError as exc:
+            items.append(RecordError(line_no, str(exc)))
+    return items
+
+
+def reference_rows(source: str | Path | Iterable[str | bytes]) -> list[SessionRow | RecordError]:
+    """reference_sessions, with each session's session_row in its place."""
+    return [item if isinstance(item, RecordError) else session_row(item) for item in reference_sessions(source)]
 
 
 def traceroute_to_dict(m: TracerouteMeasurement) -> dict:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import random
+import re
 import shutil
 
 import numpy as np
@@ -14,9 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import HOSTILE_LINES, make_session, session_to_json
+from helpers import HOSTILE_LINES, make_session, reference_sessions, session_to_json
 from snoscope.cli import Options, build_parser, default_catalog_path, main
-from snoscope.ingest import CHUNK_LINES, parse_speedtest_stream
+from snoscope.ingest import CHUNK_LINES
 from snoscope.metrics import SESSION_TABLE_DTYPE, session_metrics
 from snoscope.util import sha256_file
 from test_synth import small_spec_dict
@@ -31,6 +33,12 @@ def read_ndjson(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+def npy_bytes(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=False)
+    return buffer.getvalue()
+
+
 def with_bad_line(corpus_dir, tmp_path, bad='{"session_id": "broken"}'):
     """A copy of the corpus with one malformed record as line 2."""
     corrupted = tmp_path / "corrupted.ndjson"
@@ -38,6 +46,17 @@ def with_bad_line(corpus_dir, tmp_path, bad='{"session_id": "broken"}'):
     lines.insert(1, bad if isinstance(bad, bytes) else bad.encode("utf-8"))
     corrupted.write_bytes(b"\n".join(lines) + b"\n")
     return corrupted
+
+
+def with_replaced_file(classify_dir, tmp_path, name, data):
+    """A copy of a classify run with one file's bytes replaced, and the manifest's digest of it to match."""
+    copy = tmp_path / "classified"
+    shutil.copytree(classify_dir, copy)
+    (copy / name).write_bytes(data)
+    manifest = json.loads((copy / "manifest.json").read_text())
+    manifest["files"][name]["sha256"] = sha256_file(copy / name)
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    return copy / "dispositions.ndjson"
 
 
 def report_metrics(speedtests, dispositions, out, *extra):
@@ -184,7 +203,7 @@ class TestClassifyCommand:
     def test_session_table_row_i_describes_disposition_line_i(self, corpus_dir, classify_dir):
         table = np.load(classify_dir / "session_metrics.npy", allow_pickle=False)
         assert table.dtype == SESSION_TABLE_DTYPE
-        sessions = {s.session_id: s for s in parse_speedtest_stream(corpus_dir / "speedtests.ndjson")}
+        sessions = {s.session_id: s for s in reference_sessions(corpus_dir / "speedtests.ndjson")}
         dispositions = read_ndjson(classify_dir / "dispositions.ndjson")
         assert len(table) == len(dispositions) == len(sessions)
         for row, disposition in zip(table.tolist(), dispositions):
@@ -498,6 +517,45 @@ class TestReportMetrics:
         assert "lists no [line, reason] sample" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda obj: 5,
+            lambda obj: [1],
+            lambda obj: {**obj, "sno": ["a"]},
+            lambda obj: {**obj, "session_id": 5},
+            lambda obj: {**obj, "stage": "accepted"},
+        ],
+        ids=["number", "array", "array sno", "int session_id", "unknown stage"],
+    )
+    def test_malformed_disposition_line_is_an_input_error(self, corpus_dir, classify_dir, tmp_path, edit, capsys):
+        lines = (classify_dir / "dispositions.ndjson").read_text().splitlines()
+        lines[1] = json.dumps(edit(json.loads(lines[1])))
+        data = "".join(line + "\n" for line in lines).encode()
+        out = tmp_path / "o"
+        dispositions = with_replaced_file(classify_dir, tmp_path, "dispositions.ndjson", data)
+        assert report_metrics(corpus_dir / "speedtests.ndjson", dispositions, out) == 2
+        assert "dispositions.ndjson line 2: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data, table: re.sub(rb"\((\d+),\)", rb"(\1, ", data, count=1),
+            lambda data, table: data[:-1],
+            lambda data, table: npy_bytes(table.astype([(name, "<f8") for name in SESSION_TABLE_DTYPE.names])),
+        ],
+        ids=["unclosed shape in header", "truncated body", "wrong dtype"],
+    )
+    def test_malformed_session_table_is_an_input_error(self, corpus_dir, classify_dir, tmp_path, edit, capsys):
+        data = (classify_dir / "session_metrics.npy").read_bytes()
+        table = np.load(classify_dir / "session_metrics.npy", allow_pickle=False)
+        out = tmp_path / "o"
+        dispositions = with_replaced_file(classify_dir, tmp_path, "session_metrics.npy", edit(data, table))
+        assert report_metrics(corpus_dir / "speedtests.ndjson", dispositions, out) == 2
+        assert "is not a session table" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_dispositions(self, corpus_dir, tmp_path, capsys):
         code = main(
             [
@@ -768,6 +826,18 @@ class TestReportBgp:
         rows = read_csv(out / "coverage.csv")
         assert rows[0] == ["snapshot", "country_fraction", "city_fraction", "truth_countries", "truth_cities"]
         assert rows[1] == ["current", "0.5", "0.5", "2", "2"]
+
+    def test_malformed_pops_leaves_out_as_it_was(self, tmp_path, registry_file, snapshots, capsys):
+        pops = tmp_path / "pops.csv"
+        pops.write_text("code,city,country_code,lat,lon\nsttlwax1,Seattle,USA,47.6062,-122.3321\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "graph_before.dot").write_text("from an earlier run\n")
+        argv = ["report", "bgp", "--input", *map(str, snapshots), "--sno", "starlink", "--registry", str(registry_file),
+                "--pops", str(pops), "--out", str(out)]
+        assert main(argv) == 2
+        assert "bad country code" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == {"graph_before.dot": b"from an earlier run\n"}
 
     def test_unknown_operator(self, tmp_path, registry_file, snapshots, capsys):
         before, _ = snapshots

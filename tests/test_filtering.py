@@ -31,7 +31,7 @@ from snoscope.filtering import (
     strict_filter,
     summary_rows,
 )
-from snoscope.ingest import SessionRow
+from snoscope.ingest import SessionRow, session_row
 
 
 def ref(session_id: str, ip: str, latency: float, sno: str = "viasat") -> SessionRef:
@@ -175,7 +175,7 @@ class TestRunPipeline:
         return out
 
     def _run(self, **kwargs):
-        return run_pipeline(self._sessions(), catalog_fixture(), **kwargs)
+        return run_pipeline(map(session_row, self._sessions()), catalog_fixture(), **kwargs)
 
     def test_stage_assignment(self):
         corpus = self._run()
@@ -236,8 +236,8 @@ class TestRunPipeline:
         rng = random.Random(55)
         shuffled = sessions[:]
         rng.shuffle(shuffled)
-        a = run_pipeline(sessions, catalog_fixture())
-        b = run_pipeline(shuffled, catalog_fixture())
+        a = run_pipeline(map(session_row, sessions), catalog_fixture())
+        b = run_pipeline(map(session_row, shuffled), catalog_fixture())
         assert a.dispositions == b.dispositions
         assert summary_rows(a) == summary_rows(b)
 
@@ -355,7 +355,7 @@ class TestPipelineAgainstOracle:
         for _ in range(100):
             sessions = self._random_corpus(rng)
             drawn = [(s.session_id, s.client_asn, str(s.client_ip), s.rtt_ms[0]) for s in sessions]  # flat RTTs
-            assert self._outcomes(run_pipeline(sessions, catalog)) == self._oracle(drawn)
+            assert self._outcomes(run_pipeline(map(session_row, sessions), catalog)) == self._oracle(drawn)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -396,7 +396,7 @@ class TestPipelineAgainstOracle:
         catalog = catalog_fixture()
         for _ in range(100):
             sessions = self._random_corpus(rng)
-            corpus = run_pipeline(sessions, catalog)
+            corpus = run_pipeline(map(session_row, sessions), catalog)
             result = corpus.per_sno["viasat"]
             strict_ids = {
                 d.session_id for d in corpus.dispositions if d.stage == STAGE_STRICT
@@ -410,8 +410,8 @@ class TestPipelineAgainstOracle:
         catalog = catalog_fixture()
         for _ in range(40):
             sessions = self._random_corpus(rng)
-            lo = run_pipeline(sessions, catalog, global_floor_ms=400.0)
-            hi = run_pipeline(sessions, catalog, global_floor_ms=650.0)
+            lo = run_pipeline(map(session_row, sessions), catalog, global_floor_ms=400.0)
+            hi = run_pipeline(map(session_row, sessions), catalog, global_floor_ms=650.0)
             lo_accepted = {d.session_id for d in lo.dispositions if d.stage != STAGE_REJECTED}
             hi_accepted = {d.session_id for d in hi.dispositions if d.stage != STAGE_REJECTED}
             assert hi_accepted <= lo_accepted

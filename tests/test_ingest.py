@@ -16,6 +16,7 @@ from helpers import (
     make_session,
     make_traceroute,
     mapped_asns,
+    reference_rows,
     session_to_dict,
     session_to_json,
     traceroute_to_dict,
@@ -26,7 +27,7 @@ from snoscope.ingest import (
     CHUNK_LINES,
     MEMO_CAP,
     RecordError,
-    SpeedTestSession,
+    SessionRow,
     TableError,
     aspath_from_line,
     aspath_to_line,
@@ -147,7 +148,7 @@ class TestSpeedtestStream:
         path = tmp_path / "sessions.ndjson"
         path.write_text(self._mixed_stream())
         items = list(parse_speedtest_stream(path))
-        assert [type(i).__name__ for i in items] == ["SpeedTestSession", "RecordError", "SpeedTestSession"]
+        assert [type(i).__name__ for i in items] == ["SessionRow", "RecordError", "SessionRow"]
         assert items[1].line_no == 2
         assert items[0].session_id == "ok-1" and items[2].session_id == "ok-2"
 
@@ -196,7 +197,7 @@ class TestHostileLines:
     def test_lenient_yields_a_record_error(self, name):
         good = session_to_json(make_session())
         items = list(parse_speedtest_stream([good, HOSTILE_LINES[name], good]))
-        assert [type(i).__name__ for i in items] == ["SpeedTestSession", "RecordError", "SpeedTestSession"]
+        assert [type(i).__name__ for i in items] == ["SessionRow", "RecordError", "SessionRow"]
         assert items[1].line_no == 2
 
     @pytest.mark.parametrize("name", sorted(HOSTILE_LINES))
@@ -290,7 +291,7 @@ class TestAnyLineIsARecordOrARecordError:
     @given(line=mutated_session_lines() | st.text() | st.binary())
     def test_speedtest_lines(self, line):
         (item,) = list(parse_speedtest_stream([line])) or [None]
-        assert item is None or type(item).__name__ in ("SpeedTestSession", "RecordError")
+        assert item is None or type(item).__name__ in ("SessionRow", "RecordError")
         try:
             list(parse_speedtest_stream([line], strictness="strict"))
         except RecordError:
@@ -311,12 +312,10 @@ FILLER_LINES = [
 ]
 
 
-def scalar_chain(line: str, line_no: int) -> SpeedTestSession | RecordError:
-    """What a corpus line parses to, checked one field at a time."""
-    try:
-        return session_from_dict(json.loads(line))
-    except ValueError as exc:
-        return RecordError(line_no, str(exc))
+def scalar_chain(line: str, line_no: int) -> SessionRow | RecordError:
+    """What a corpus line parses to, checked one field at a time (see reference_rows)."""
+    (item,) = reference_rows([line])
+    return RecordError(line_no, item.reason) if isinstance(item, RecordError) else item
 
 
 # repr tells an int from a float, and 0.0 from -0.0.
@@ -324,7 +323,7 @@ FILLER_REPRS = [repr(scalar_chain(line, 0)) for line in FILLER_LINES]
 
 
 class TestChunksAgreeWithTheScalarChain:
-    """A chunk's column checks accept, reject and convert exactly as session_from_dict does."""
+    """A chunk's column checks accept, reject and convert exactly as session_from_dict and session_row do."""
 
     @settings(PROPERTY_SETTINGS, max_examples=1000)
     @given(line=mutated_snapshot_lines())

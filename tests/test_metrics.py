@@ -10,6 +10,7 @@ import pytest
 from helpers import corpus_metrics, make_session
 from snoscope.catalog import SnoCatalog, SnoEntry
 from snoscope.filtering import run_pipeline
+from snoscope.ingest import session_row
 from snoscope.metrics import (
     GROUPING_ORBIT,
     GROUPING_PEP,
@@ -234,7 +235,7 @@ class TestCorpusMetrics:
 
     def test_accepted_only_filters_rejections(self):
         sessions = self._corpus()
-        corpus = run_pipeline(sessions, catalog_fixture())
+        corpus = run_pipeline(map(session_row, sessions), catalog_fixture())
         rows = corpus_metrics(sessions, corpus)
         ids = {m.session_id for m in rows}
         assert ids == {f"vs-{i}" for i in range(10)}
@@ -242,7 +243,7 @@ class TestCorpusMetrics:
 
     def test_all_sessions_when_not_filtering(self):
         sessions = self._corpus()
-        corpus = run_pipeline(sessions, catalog_fixture())
+        corpus = run_pipeline(map(session_row, sessions), catalog_fixture())
         rows = corpus_metrics(sessions, corpus, accepted_only=False)
         assert {m.session_id for m in rows} == {s.session_id for s in sessions}
         by_id = {m.session_id: m for m in rows}
@@ -254,7 +255,7 @@ class TestCorpusMetrics:
             make_session(session_id="dup", client_asn=13955, client_ip="100.1.3.1", rtts=[610.0, 600.0]),
             make_session(session_id="dup", client_asn=64500, client_ip="80.0.0.2", rtts=[30.0, 31.0]),
         ]
-        corpus = run_pipeline(sessions, catalog_fixture())
+        corpus = run_pipeline(map(session_row, sessions), catalog_fixture())
         rows = corpus_metrics(sessions, corpus, accepted_only=False)
         assert [(m.sno, m.latency_p5_ms) for m in rows if m.session_id == "dup"] == [
             ("viasat", session_metrics(sessions[-2]).latency_p5_ms),

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_session, session_to_json
+from helpers import make_session, reference_rows, session_to_json
 from snoscope import ingest
 from snoscope.cli import main
 from snoscope.ingest import (
@@ -26,7 +26,6 @@ from snoscope.ingest import (
     parse_speedtest_range,
     parse_speedtest_rows,
     parse_speedtest_stream,
-    session_row,
 )
 from snoscope.util import sha256_file
 from test_ingest import mutated_session_lines, mutated_snapshot_lines
@@ -71,15 +70,8 @@ def line_starts(data: bytes) -> list[int]:
     return sorted({0, len(data), *(i + 1 for i, byte in enumerate(data) if byte == 0x0A)})
 
 
-def expected(path: Path) -> tuple[str, list[tuple[int, str]]]:
-    """The rows (as their repr, which tells NaN apart) and errors of the single-record parse."""
-    items = list(parse_speedtest_stream(path))
-    rows = [session_row(item) for item in items if not isinstance(item, RecordError)]
-    errors = [(item.line_no, item.reason) for item in items if isinstance(item, RecordError)]
-    return repr(rows), errors
-
-
 def split(items) -> tuple[str, list[tuple[int, str]]]:
+    """The rows (as their repr, which tells NaN apart) and the errors among parse items."""
     items = list(items)
     rows = [item for item in items if not isinstance(item, RecordError)]
     return repr(rows), [(item.line_no, item.reason) for item in items if isinstance(item, RecordError)]
@@ -120,7 +112,8 @@ class TestRangesAgreeWithTheSingleRecordParse:
         bounds = [0, *sorted(starts[cut % len(starts)] for cut in cuts), len(data)]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "CHUNK_LINES", chunk)
-            rows, errors = expected(corpus_file)
+            rows, errors = split(reference_rows(corpus_file))
+            assert split(parse_speedtest_stream(corpus_file)) == (rows, errors)
             shards = [parse_speedtest_range(corpus_file, a, b) for a, b in zip(bounds, bounds[1:])]
             assert split(_merge_shards(shards, "lenient")) == (rows, errors)
             strict = [parse_speedtest_range(corpus_file, a, b, "strict") for a, b in zip(bounds, bounds[1:])]
@@ -135,7 +128,7 @@ class TestRangesAgreeWithTheSingleRecordParse:
     @given(data=corpora(), parallelism=st.integers(1, 4), strict=st.booleans())
     def test_worker_processes(self, corpus_file, data, parallelism, strict):
         corpus_file.write_bytes(data)
-        rows, errors = expected(corpus_file)
+        rows, errors = split(reference_rows(corpus_file))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "MIN_SHARD_BYTES", 1)
             patch.setattr(ingest, "usable_cpus", lambda: 4)

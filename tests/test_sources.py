@@ -1,8 +1,11 @@
-"""The package's sources stay within the declared Python floor (requires-python >= 3.10)."""
+"""The package's sources: within the declared Python floor (requires-python >= 3.10), each public definition
+reached, and each name the benchmark harness reads present."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import re
 from collections import Counter
 from pathlib import Path
@@ -10,6 +13,9 @@ from pathlib import Path
 import pytest
 
 import snoscope
+from helpers import make_session, session_to_json
+from snoscope.filtering import run_pipeline
+from snoscope.ingest import RecordError, parse_speedtest_stream
 
 SOURCES = sorted(Path(snoscope.__file__).parent.glob("*.py"))
 
@@ -60,3 +66,20 @@ def test_every_public_definition_is_reachable():
             if outside == 0 and not re.search(rf"\b{re.escape(node.name)}\b", named):
                 unreached.append(f"{module}:{node.name}")
     assert unreached == []
+
+
+def test_the_benchmark_finds_what_it_reads(monkeypatch, bundled_catalog):
+    """Every layer function perfbench/tracing.py wraps, and the run_pipeline call of perfbench/run.py.
+
+    A traced benchmark run without one of them lacks metrics it declares.
+    """
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    modules = {site.module: importlib.import_module(f"snoscope.{site.module}") for site in tracing.SITES}
+    missing = [site.name for site in tracing.SITES if not hasattr(modules[site.module], site.function)]
+    assert missing == []
+    assert "workers" in inspect.signature(run_pipeline).parameters
+    lines = [session_to_json(make_session(f"s-{i}", client_asn=asn)) for i, asn in enumerate([14593, 13955, 64500])]
+    items = list(parse_speedtest_stream([lines[0], "{", *lines[1:]]))
+    rows = [item for item in items if not isinstance(item, RecordError)]
+    assert run_pipeline(rows, bundled_catalog, workers=2).input_count == len(rows) == 3

