@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from . import bgp, filtering, metrics, profiling, starlink, synth
-from .catalog import make_bands
+from .catalog import SnoCatalog, make_bands
 from .ingest import (
     RecordError,
     TableError,
@@ -33,6 +33,7 @@ from .ingest import (
     _as_int,
     _as_number,
     _as_str,
+    _decode,
     _loads,
     parse_aspath_stream,
     parse_catalog,
@@ -363,32 +364,41 @@ def cmd_classify(args: argparse.Namespace) -> int:
 _STAGES = (filtering.STAGE_ASN, filtering.STAGE_STRICT, filtering.STAGE_RELAXED, filtering.STAGE_REJECTED)
 
 
-def _load_dispositions(path: Path) -> list[tuple[str, str | None, str]]:
-    """Each line's (session_id, sno, stage), in file order; a line of another shape is a ValueError."""
-    rows: list[tuple[str, str | None, str]] = []
-    with open(path, "r", encoding="utf-8") as handle:
+def _load_operators(path: Path, catalog: SnoCatalog) -> list[str | None]:
+    """Each line's operator, None where the session was rejected, in file order.
+
+    A line of another shape, or one that accepts a session for an operator
+    the catalog lacks, is a ValueError.
+    """
+    snos: list[str | None] = []
+    with open(path, "rb") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                obj = _loads(line)
+                obj = _loads(_decode(line))
                 if not isinstance(obj, dict):
                     raise ValueError("a disposition must be a JSON object")
-                session_id, sno, stage = _as_str(obj.get("session_id"), "session_id"), obj.get("sno"), obj.get("stage")
+                _as_str(obj.get("session_id"), "session_id")
+                sno, stage = obj.get("sno"), obj.get("stage")
                 if stage not in _STAGES:
                     raise ValueError(f"unknown stage {stage!r}")
                 if sno is not None and not isinstance(sno, str):
                     raise ValueError("sno must be a string or null")
+                if stage == filtering.STAGE_REJECTED:
+                    sno = None
+                elif sno is not None and sno not in catalog:
+                    raise ValueError(f"operator {sno!r} is not in the catalog")
             except ValueError as exc:
                 raise ValueError(f"{path} line {line_no}: {exc}") from None
-            rows.append((session_id, sno, stage))
-    return rows
+            snos.append(sno)
+    return snos
 
 
 def _load_classify_run(
-    dispositions: Path, speedtests: Path, strict: bool
-) -> tuple[list[tuple[str, str | None, str]], np.ndarray]:
-    """The dispositions and session table of the classify run that wrote `dispositions`.
+    dispositions: Path, speedtests: Path, strict: bool, catalog: SnoCatalog
+) -> tuple[np.ndarray, list[str | None]]:
+    """The session table of the classify run that wrote `dispositions`, and each row's operator (see _load_operators).
 
     The run's manifest must show that it read `speedtests`, and both files
     must match their recorded digests. Under strict parsing, a run that
@@ -420,14 +430,14 @@ def _load_classify_run(
         if not (isinstance(first, list) and len(first) == 2 and type(first[0]) is int and isinstance(first[1], str)):
             raise ValueError(f"{manifest_path} counts parse errors but lists no [line, reason] sample; re-run classify")
         raise RecordError(*first)
-    return _load_dispositions(dispositions), metrics.load_session_table(table_path)
+    table, snos = metrics.load_session_table(table_path), _load_operators(dispositions, catalog)
+    if len(table) != len(snos):
+        raise ValueError(f"{table_path} has {len(table)} rows for the {len(snos)} dispositions in {dispositions}")
+    return table, snos
 
 
 def _round_cdf(points: list[tuple[float, float]], digits: int = 4) -> list[tuple[float, float]]:
-    rounded: dict[float, float] = {}
-    for value, fraction in points:
-        rounded[round(value, digits)] = fraction
-    return sorted(rounded.items())
+    return sorted({round(value, digits): fraction for value, fraction in points}.items())
 
 
 def cmd_report_metrics(args: argparse.Namespace) -> int:
@@ -436,11 +446,8 @@ def cmd_report_metrics(args: argparse.Namespace) -> int:
     if opts.dispositions is None:
         raise ValueError("report metrics needs --dispositions (from a classify run)")
     catalog = parse_catalog(opts.catalog)
-    dispositions, table = _load_classify_run(opts.dispositions, speedtests_path, opts.strict_parsing)
     # Row i of the table is the session on line i of dispositions.ndjson.
-    ids = [session_id for session_id, _, _ in dispositions]
-    snos = [None if stage == filtering.STAGE_REJECTED else sno for _, sno, stage in dispositions]
-    rows = metrics.table_metrics(table, ids, snos)
+    table, snos = _load_classify_run(opts.dispositions, speedtests_path, opts.strict_parsing, catalog)
 
     plans = (
         ("latency", "latency_p5_ms", metrics.GROUPING_ORBIT),
@@ -451,39 +458,25 @@ def cmd_report_metrics(args: argparse.Namespace) -> int:
     box_rows: list[tuple[Any, ...]] = []
     cdf_rows: list[tuple[Any, ...]] = []
     for prefix, field_name, grouping in plans:
-        groups = metrics.compare_groups(rows, catalog, grouping=grouping, metric=field_name)
+        groups = metrics.compare_groups(table, snos, catalog, grouping=grouping, metric=field_name)
         for label, summary in groups.items():
             tag = f"{prefix}:{label}"
-            box_rows.append(
-                (
-                    tag,
-                    round(summary.p5, 4),
-                    round(summary.p25, 4),
-                    round(summary.p50, 4),
-                    round(summary.p75, 4),
-                    round(summary.p95, 4),
-                    summary.n,
-                )
-            )
+            quantiles = (summary.p5, summary.p25, summary.p50, summary.p75, summary.p95)
+            box_rows.append((tag, *(round(q, 4) for q in quantiles), summary.n))
             if grouping != metrics.GROUPING_SNO:
-                for value, fraction in _round_cdf(summary.cdf_points):
-                    cdf_rows.append((tag, value, round(fraction, 6)))
+                cdf_rows.extend((tag, value, round(fraction, 6)) for value, fraction in _round_cdf(summary.cdf_points))
 
-    daily_rows: list[tuple[Any, ...]] = []
-    by_sno: dict[str, list[metrics.SessionMetrics]] = {}
-    for m in rows:
-        if m.sno is not None:
-            by_sno.setdefault(m.sno, []).append(m)
-    for sno in sorted(by_sno):
-        series = metrics.daily_median_series(by_sno[sno], "latency_p5_ms")
-        for day, median in series:
-            daily_rows.append((f"latency:{sno}", day.isoformat(), round(median, 3)))
+    daily_rows = [
+        (f"latency:{sno}", day.isoformat(), round(median, 3))
+        for sno, series in metrics.daily_median_series(table, snos, "latency_p5_ms").items()
+        for day, median in series
+    ]
 
     out = opts.out
     _write_csv(out / "boxstats.csv", ("group", "p5", "p25", "p50", "p75", "p95", "n"), box_rows)
     _write_csv(out / "cdf.csv", ("group", "value", "fraction"), cdf_rows)
     _write_csv(out / "daily.csv", ("group", "date", "median"), daily_rows)
-    print(f"report metrics: {len(rows)} accepted sessions summarized -> {out}")
+    print(f"report metrics: {len(snos) - snos.count(None)} accepted sessions summarized -> {out}")
     return EXIT_OK
 
 

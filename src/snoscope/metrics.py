@@ -19,7 +19,7 @@ from array import array
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,15 +50,11 @@ class SessionMetrics:
     retrans_fraction: float | None
 
 
-def _metrics(session_id: str, sno: str | None, day: int, latency: float, jitter: float, retrans: float) -> SessionMetrics:
-    """SessionMetrics from a session's row values (see SessionRow)."""
-    retrans_fraction = None if math.isnan(retrans) else retrans
-    return SessionMetrics(session_id, sno, date.fromordinal(day), latency, jitter, jitter / latency, retrans_fraction)
-
-
 def session_metrics(session: SpeedTestSession, sno: str | None = None) -> SessionMetrics:
     row = session_row(session)
-    return _metrics(row.session_id, sno, row.day, row.latency_p5_ms, row.jitter_p95_ms, row.retrans_fraction)
+    retrans_fraction = None if math.isnan(row.retrans_fraction) else row.retrans_fraction
+    return SessionMetrics(row.session_id, sno, date.fromordinal(row.day), row.latency_p5_ms, row.jitter_p95_ms,
+                          row.jitter_p95_ms / row.latency_p5_ms, retrans_fraction)
 
 
 # One row per session. day is the UTC date as a proleptic Gregorian ordinal
@@ -108,33 +104,51 @@ def load_session_table(path: str | Path) -> np.ndarray:
     np.lib.format.write_array_header_1_0(header, {"descr": SESSION_TABLE_DTYPE.descr, "fortran_order": False, "shape": (rows,)})
     if rows < 0 or extra or data[:body] != header.getvalue():
         raise ValueError(f"{path} is not a session table")
-    return np.frombuffer(data, dtype=SESSION_TABLE_DTYPE, offset=body)
+    table = np.frombuffer(data, dtype=SESSION_TABLE_DTYPE, offset=body)
+    day, latency, jitter, retrans = (table[name] for name in SESSION_TABLE_DTYPE.names)
+    # The ranges of the values classify writes; a NaN retrans_fraction stands for None.
+    valid = {
+        "day": (day >= 1) & (day <= date.max.toordinal()),
+        "latency_p5_ms": np.isfinite(latency) & (latency > 0),
+        "jitter_p95_ms": np.isfinite(jitter) & (jitter >= 0),
+        "retrans_fraction": np.isnan(retrans) | ((retrans >= 0) & (retrans <= 1)),
+    }
+    for name, ok in valid.items():
+        if not ok.all():
+            row = int(np.argmin(ok))
+            raise ValueError(f"{path} row {row}: {name} {table[name][row].item()!r} is out of range")
+    return table
 
 
-def table_metrics(table: np.ndarray, session_ids: Sequence[str], snos: Sequence[str | None]) -> list[SessionMetrics]:
-    """SessionMetrics of a session table's rows, given each row's id and operator.
+def _column(table: np.ndarray, metric: str) -> np.ndarray:
+    """One metric per session-table row: a column, or jitter_variability, the ratio of two."""
+    if metric == "jitter_variability":
+        return table["jitter_p95_ms"] / table["latency_p5_ms"]
+    return table[metric]
 
-    Rows whose operator is None are left out.
+
+def _pools(keys: Iterable[Hashable], values: np.ndarray) -> list[tuple[Any, list[float]]]:
+    """The defined (non-NaN) values under each key but None, as Python floats in row order; sorted by key."""
+    pools: dict[Hashable, list[float]] = {}
+    for key, value in zip(keys, values.tolist()):
+        if key is not None and value == value:  # False for NaN alone
+            pools.setdefault(key, []).append(value)
+    return sorted(pools.items())
+
+
+def daily_median_series(
+    table: np.ndarray, snos: Sequence[str | None], metric: str = "latency_p5_ms"
+) -> dict[str, list[tuple[date, float]]]:
+    """Each operator's median of one metric per UTC day, sorted by day; empty days are absent.
+
+    snos[i] is the operator of table row i. Rows without one (None), or whose
+    metric is undefined (NaN), are left out.
     """
-    if not len(table) == len(session_ids) == len(snos):
-        raise ValueError(f"session table has {len(table)} rows for {len(session_ids)} sessions")
-    columns = (table[name].tolist() for name in SESSION_TABLE_DTYPE.names)
-    return [_metrics(*values) for values in zip(session_ids, snos, *columns) if values[1] is not None]
-
-
-def daily_median_series(metrics: Iterable[SessionMetrics], metric: str = "latency_p5_ms") -> list[tuple[date, float]]:
-    """Median of one metric field per UTC day, sorted by day; empty days are absent.
-
-    Sessions whose metric is undefined (None) are left out of their day's
-    population.
-    """
-    by_day: dict[date, list[float]] = {}
-    for m in metrics:
-        value = getattr(m, metric)
-        if value is None:
-            continue
-        by_day.setdefault(m.day, []).append(value)
-    return [(day, percentile(values, 0.5)) for day, values in sorted(by_day.items())]
+    keys = [None if sno is None else (sno, day) for sno, day in zip(snos, table["day"].tolist())]
+    series: dict[str, list[tuple[date, float]]] = {}
+    for (sno, day), pool in _pools(keys, _column(table, metric)):
+        series.setdefault(sno, []).append((date.fromordinal(day), percentile(pool, 0.5)))
+    return series
 
 
 @dataclass
@@ -184,23 +198,13 @@ def group_label(entry: SnoEntry, grouping: str) -> str:
 
 
 def compare_groups(
-    metrics: Iterable[SessionMetrics],
-    catalog: SnoCatalog,
-    grouping: str = GROUPING_ORBIT,
-    metric: str = "latency_p5_ms",
+    table: np.ndarray, snos: Sequence[str | None], catalog: SnoCatalog,
+    grouping: str = GROUPING_ORBIT, metric: str = "latency_p5_ms",
 ) -> dict[str, DistributionSummary]:
-    """Summarize one metric field across groups of sessions.
+    """Summarize one metric across groups of sessions, sorted by group label.
 
-    Sessions without an operator attribution, or whose metric is undefined,
-    are skipped.
+    snos[i] is the operator of table row i. Rows without one (None), or whose
+    metric is undefined (NaN), are skipped.
     """
-    pools: dict[str, list[float]] = {}
-    for m in metrics:
-        if m.sno is None or m.sno not in catalog:
-            continue
-        value = getattr(m, metric)
-        if value is None:
-            continue
-        label = group_label(catalog.get(m.sno), grouping)
-        pools.setdefault(label, []).append(value)
-    return {label: summarize(values) for label, values in sorted(pools.items())}
+    labels = {sno: group_label(catalog.get(sno), grouping) for sno in set(snos) - {None}}
+    return {label: summarize(pool) for label, pool in _pools([labels.get(sno) for sno in snos], _column(table, metric))}

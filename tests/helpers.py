@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import io
 import json
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from ipaddress import ip_address
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from snoscope.catalog import OrbitBand, SnoCatalog
 from snoscope.filtering import STAGE_REJECTED, ClassifiedCorpus
@@ -25,8 +27,16 @@ from snoscope.ingest import (
     session_from_dict,
     session_row,
 )
-from snoscope.metrics import SessionMetrics, session_metrics
-from snoscope.profiling import OrbitVerdict, _orbit_verdict, _verdict_modes
+from snoscope.metrics import (
+    GROUPING_ORBIT,
+    SESSION_TABLE_DTYPE,
+    DistributionSummary,
+    SessionMetrics,
+    group_label,
+    session_metrics,
+    summarize,
+)
+from snoscope.profiling import OrbitVerdict, _orbit_verdict, _verdict_modes, percentile
 from snoscope.util import format_rfc3339
 
 
@@ -125,6 +135,52 @@ def corpus_metrics(
         if not (accepted_only and stage == STAGE_REJECTED):
             out.append(session_metrics(session, sno=sno))
     return out
+
+
+def session_table(sessions: Iterable[SpeedTestSession]) -> np.ndarray:
+    """The session table classify writes for sessions: one row each, in order."""
+    rows = [session_row(session) for session in sessions]
+    values = [(row.day, row.latency_p5_ms, row.jitter_p95_ms, row.retrans_fraction) for row in rows]
+    return np.array(values, dtype=SESSION_TABLE_DTYPE)
+
+
+def corpus_table(sessions: list[SpeedTestSession], corpus: ClassifiedCorpus) -> tuple[np.ndarray, list[str | None]]:
+    """The session table of run_pipeline's input and each row's operator, None where rejected (see corpus_metrics)."""
+    snos: list[str | None] = [None] * len(sessions)
+    for d in corpus.dispositions:
+        snos[d.index] = None if d.stage == STAGE_REJECTED else d.sno
+    return session_table(sessions), snos
+
+
+def reference_compare_groups(
+    metrics: Iterable[SessionMetrics],
+    catalog: SnoCatalog,
+    grouping: str = GROUPING_ORBIT,
+    metric: str = "latency_p5_ms",
+) -> dict[str, DistributionSummary]:
+    """metrics.compare_groups over per-session objects: one SessionMetrics field summarized per group label.
+
+    Sessions without an operator, or whose metric is undefined (None), are skipped.
+    """
+    pools: dict[str, list[float]] = {}
+    for m in metrics:
+        value = getattr(m, metric)
+        if m.sno is not None and value is not None:
+            pools.setdefault(group_label(catalog.get(m.sno), grouping), []).append(value)
+    return {label: summarize(values) for label, values in sorted(pools.items())}
+
+
+def reference_daily_median_series(metrics: Iterable[SessionMetrics], metric: str = "latency_p5_ms") -> list[tuple[date, float]]:
+    """One operator's metrics.daily_median_series over per-session objects: the median of one field per UTC day.
+
+    Sessions whose metric is undefined (None) are left out of their day's population.
+    """
+    by_day: dict[date, list[float]] = {}
+    for m in metrics:
+        value = getattr(m, metric)
+        if value is not None:
+            by_day.setdefault(m.day, []).append(value)
+    return [(day, percentile(values, 0.5)) for day, values in sorted(by_day.items())]
 
 
 def classify_orbit(

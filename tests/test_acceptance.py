@@ -17,7 +17,7 @@ from ipaddress import ip_network
 import numpy as np
 import pytest
 
-from helpers import classify_orbit, corpus_metrics, make_session, reference_sessions
+from helpers import classify_orbit, corpus_table, make_session, reference_sessions
 from snoscope.bgp import build_graph, coverage_score, snapshot_diff
 from snoscope.catalog import DEFAULT_BANDS
 from snoscope.cli import main as cli_main
@@ -288,9 +288,9 @@ def test_6_session_metrics_and_pep_contrast(pipeline_run, bundled_catalog):
             assert m.retrans_fraction == retrans / sent
 
         sessions, corpus, _ = pipeline_run
-        rows = corpus_metrics(sessions, corpus, accepted_only=True)
+        table, snos = corpus_table(sessions, corpus)
         groups = compare_groups(
-            rows, bundled_catalog, grouping=GROUPING_PEP, metric="retrans_fraction"
+            table, snos, bundled_catalog, grouping=GROUPING_PEP, metric="retrans_fraction"
         )
         pep, others = groups["GEO (PEP)"], groups["GEO (others)"]
         assert pep.n >= 1000 and others.n >= 1000

@@ -10,6 +10,7 @@ import json
 import random
 import re
 import shutil
+from datetime import date
 
 import numpy as np
 import pytest
@@ -57,6 +58,17 @@ def with_replaced_file(classify_dir, tmp_path, name, data):
     manifest["files"][name]["sha256"] = sha256_file(copy / name)
     (copy / "manifest.json").write_text(json.dumps(manifest))
     return copy / "dispositions.ndjson"
+
+
+def with_row_value(name, value, row=1):
+    """A session-table edit: row's value of one column replaced, written as np.save writes it."""
+
+    def edit(data, table):
+        table = table.copy()
+        table[name][row] = value
+        return npy_bytes(table)
+
+    return edit
 
 
 def report_metrics(speedtests, dispositions, out, *extra):
@@ -539,21 +551,60 @@ class TestReportMetrics:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, message",
         [
-            lambda data, table: re.sub(rb"\((\d+),\)", rb"(\1, ", data, count=1),
-            lambda data, table: data[:-1],
-            lambda data, table: npy_bytes(table.astype([(name, "<f8") for name in SESSION_TABLE_DTYPE.names])),
+            (lambda data, table: re.sub(rb"\((\d+),\)", rb"(\1, ", data, count=1), "is not a session table"),
+            (lambda data, table: data[:-1], "is not a session table"),
+            (
+                lambda data, table: npy_bytes(table.astype([(name, "<f8") for name in SESSION_TABLE_DTYPE.names])),
+                "is not a session table",
+            ),
+            (with_row_value("latency_p5_ms", 0.0), "row 1: latency_p5_ms 0.0 is out of range"),
+            (with_row_value("latency_p5_ms", float("nan")), "row 1: latency_p5_ms nan is out of range"),
+            (with_row_value("latency_p5_ms", -5.0), "row 1: latency_p5_ms -5.0 is out of range"),
+            (with_row_value("latency_p5_ms", float("inf")), "row 1: latency_p5_ms inf is out of range"),
+            (with_row_value("jitter_p95_ms", -1.0), "row 1: jitter_p95_ms -1.0 is out of range"),
+            (with_row_value("jitter_p95_ms", float("nan")), "row 1: jitter_p95_ms nan is out of range"),
+            (with_row_value("retrans_fraction", 7.0), "row 1: retrans_fraction 7.0 is out of range"),
+            (with_row_value("retrans_fraction", -0.5), "row 1: retrans_fraction -0.5 is out of range"),
+            (with_row_value("retrans_fraction", float("-inf")), "row 1: retrans_fraction -inf is out of range"),
+            (with_row_value("day", 0), "row 1: day 0 is out of range"),
+            (with_row_value("day", date.max.toordinal() + 1), f"row 1: day {date.max.toordinal() + 1} is out of range"),
         ],
-        ids=["unclosed shape in header", "truncated body", "wrong dtype"],
+        ids=["unclosed shape in header", "truncated body", "wrong dtype", "zero latency", "NaN latency",
+             "negative latency", "infinite latency", "negative jitter", "NaN jitter", "retrans above 1",
+             "negative retrans", "infinite retrans", "day 0", "day after date.max"],
     )
-    def test_malformed_session_table_is_an_input_error(self, corpus_dir, classify_dir, tmp_path, edit, capsys):
+    def test_malformed_session_table_is_an_input_error(self, corpus_dir, classify_dir, tmp_path, edit, message, capsys):
         data = (classify_dir / "session_metrics.npy").read_bytes()
         table = np.load(classify_dir / "session_metrics.npy", allow_pickle=False)
         out = tmp_path / "o"
         dispositions = with_replaced_file(classify_dir, tmp_path, "session_metrics.npy", edit(data, table))
         assert report_metrics(corpus_dir / "speedtests.ndjson", dispositions, out) == 2
-        assert "is not a session table" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_session_table_of_another_length_is_an_input_error(self, corpus_dir, classify_dir, tmp_path, capsys):
+        table = np.load(classify_dir / "session_metrics.npy", allow_pickle=False)
+        out = tmp_path / "o"
+        dispositions = with_replaced_file(classify_dir, tmp_path, "session_metrics.npy", npy_bytes(table[:-1]))
+        assert report_metrics(corpus_dir / "speedtests.ndjson", dispositions, out) == 2
+        assert f"has {len(table) - 1} rows for the {len(table)} dispositions" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_accepted_operator_missing_from_the_catalog_is_an_input_error(
+        self, corpus_dir, classify_dir, tmp_path, capsys
+    ):
+        entries = json.loads(default_catalog_path().read_text())
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps([entry for entry in entries if entry["name"] != "viasat"]))
+        lines = read_ndjson(classify_dir / "dispositions.ndjson")
+        first = next(i for i, d in enumerate(lines, start=1) if d["sno"] == "viasat" and d["stage"] != "rejected")
+        out = tmp_path / "o"
+        code = report_metrics(corpus_dir / "speedtests.ndjson", classify_dir / "dispositions.ndjson", out,
+                              "--catalog", str(catalog))
+        assert code == 2
+        assert f"dispositions.ndjson line {first}: operator 'viasat' is not in the catalog" in capsys.readouterr().err
         assert not out.exists()
 
     def test_requires_dispositions(self, corpus_dir, tmp_path, capsys):

@@ -6,8 +6,16 @@ import random
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import corpus_metrics, make_session
+from helpers import (
+    corpus_metrics,
+    make_session,
+    reference_compare_groups,
+    reference_daily_median_series,
+    session_table,
+)
 from snoscope.catalog import SnoCatalog, SnoEntry
 from snoscope.filtering import run_pipeline
 from snoscope.ingest import session_row
@@ -81,46 +89,45 @@ class TestSessionMetrics:
 
 
 class TestDailyMedianSeries:
-    def _metrics(self):
+    def _table(self):
         plan = [
             ("2021-03-01", [600.0, 610.0, 620.0]),
             ("2021-03-02", [605.0]),
             ("2021-03-04", [590.0, 600.0]),  # note: no sessions on 03-03
         ]
-        out = []
-        for day, lats in plan:
-            for i, lat in enumerate(lats):
-                out.append(
-                    session_metrics(
-                        make_session(
-                            session_id=f"{day}-{i}",
-                            rtts=[lat, lat],
-                            timestamp=f"{day}T12:00:00Z",
-                        )
-                    )
-                )
-        return out
+        sessions = [
+            make_session(session_id=f"{day}-{i}", rtts=[lat, lat], timestamp=f"{day}T12:00:00Z")
+            for day, lats in plan
+            for i, lat in enumerate(lats)
+        ]
+        return session_table(sessions)
 
     def test_series_medians_and_gaps(self):
-        series = daily_median_series(self._metrics())
-        assert series == [
-            (date(2021, 3, 1), 610.0),
-            (date(2021, 3, 2), 605.0),
-            (date(2021, 3, 4), 595.0),
-        ]
+        table = self._table()
+        series = daily_median_series(table, ["viasat"] * len(table))
+        assert series == {
+            "viasat": [
+                (date(2021, 3, 1), 610.0),
+                (date(2021, 3, 2), 605.0),
+                (date(2021, 3, 4), 595.0),
+            ]
+        }
 
     def test_alternate_metric_and_none_skipping(self):
-        metrics = [
-            session_metrics(make_session(session_id="a", bytes_sent_final=0, timestamp="2021-03-01T00:00:00Z")),
-            session_metrics(
-                make_session(session_id="b", bytes_sent_final=1_000_000, bytes_retrans_final=10_000, timestamp="2021-03-01T05:00:00Z")
-            ),
-        ]
-        series = daily_median_series(metrics, "retrans_fraction")
-        assert series == [(date(2021, 3, 1), 0.01)]
+        table = session_table(
+            [
+                make_session(session_id="a", bytes_sent_final=0, timestamp="2021-03-01T00:00:00Z"),
+                make_session(
+                    session_id="b", bytes_sent_final=1_000_000, bytes_retrans_final=10_000, timestamp="2021-03-01T05:00:00Z"
+                ),
+                make_session(session_id="c", bytes_sent_final=1_000_000, timestamp="2021-03-01T06:00:00Z"),
+            ]
+        )
+        series = daily_median_series(table, ["viasat", "viasat", None], "retrans_fraction")
+        assert series == {"viasat": [(date(2021, 3, 1), 0.01)]}
 
     def test_empty_input(self):
-        assert daily_median_series([]) == []
+        assert daily_median_series(session_table([]), []) == {}
 
 
 class TestSummarize:
@@ -172,48 +179,88 @@ class TestGroupLabels:
 
 
 class TestCompareGroups:
-    def _metrics(self):
+    def _table(self):
         catalog = catalog_fixture()
-        rows = []
-        for i, (sno, lat) in enumerate(
-            [("starlink", 56.0), ("starlink", 58.0), ("viasat", 620.0), ("telalaska", 700.0), ("o3b", 280.0)]
-        ):
-            rows.append(session_metrics(make_session(session_id=f"m{i}", rtts=[lat, lat]), sno=sno))
-        rows.append(session_metrics(make_session(session_id="m-none", rtts=[100.0, 100.0]), sno=None))
-        rows.append(session_metrics(make_session(session_id="m-unk", rtts=[100.0, 100.0]), sno="nobody"))
-        return catalog, rows
+        plan = [("starlink", 56.0), ("starlink", 58.0), ("viasat", 620.0), ("telalaska", 700.0), ("o3b", 280.0), (None, 100.0)]
+        sessions = [make_session(session_id=f"m{i}", rtts=[lat, lat]) for i, (_, lat) in enumerate(plan)]
+        return catalog, session_table(sessions), [sno for sno, _ in plan]
 
     def test_orbit_grouping_pools(self):
-        catalog, rows = self._metrics()
-        groups = compare_groups(rows, catalog, grouping=GROUPING_ORBIT, metric="latency_p5_ms")
+        catalog, table, snos = self._table()
+        groups = compare_groups(table, snos, catalog, grouping=GROUPING_ORBIT, metric="latency_p5_ms")
         assert set(groups) == {"LEO", "MEO", "GEO"}
         assert groups["LEO"].n == 2
         assert groups["GEO"].n == 2  # viasat + telalaska pool together
         assert groups["GEO"].p50 == 660.0
 
     def test_unattributed_sessions_skipped(self):
-        catalog, rows = self._metrics()
-        total = sum(s.n for s in compare_groups(rows, catalog).values())
-        assert total == 5  # the None-sno and unknown-sno rows are gone
+        catalog, table, snos = self._table()
+        total = sum(s.n for s in compare_groups(table, snos, catalog).values())
+        assert total == 5  # the row without an operator is gone
+        with pytest.raises(KeyError, match="nobody"):
+            compare_groups(table, [*snos[:-1], "nobody"], catalog)
 
     def test_pep_grouping(self):
-        catalog, rows = self._metrics()
-        groups = compare_groups(rows, catalog, grouping=GROUPING_PEP, metric="latency_p5_ms")
+        catalog, table, snos = self._table()
+        groups = compare_groups(table, snos, catalog, grouping=GROUPING_PEP, metric="latency_p5_ms")
         assert groups["GEO (PEP)"].n == 1
         assert groups["GEO (others)"].n == 1
 
     def test_none_metric_values_skipped(self):
         catalog = catalog_fixture()
-        rows = [
-            session_metrics(make_session(session_id="a", bytes_sent_final=0), sno="viasat"),
-            session_metrics(
+        table = session_table(
+            [
+                make_session(session_id="a", bytes_sent_final=0),
                 make_session(session_id="b", bytes_sent_final=1_000_000, bytes_retrans_final=50_000),
-                sno="viasat",
-            ),
-        ]
-        groups = compare_groups(rows, catalog, grouping=GROUPING_SNO, metric="retrans_fraction")
+            ]
+        )
+        groups = compare_groups(table, ["viasat", "viasat"], catalog, grouping=GROUPING_SNO, metric="retrans_fraction")
         assert groups["viasat"].n == 1
         assert groups["viasat"].p50 == 0.05
+
+
+# Operators of every PEP class: LEO, MEO, hybrid MEO+GEO, GEO with a proxy, GEO without; None is a rejected row.
+OPERATORS = [None, "starlink", "o3b", "ses", "viasat", "telalaska"]
+METRICS = ("latency_p5_ms", "jitter_variability", "retrans_fraction")
+# A few values drawn often, so that pools hold ties.
+RTTS = st.sampled_from([0.5, 56.0, 600.0]) | st.floats(0.01, 900.0)
+RTT_VARS = st.sampled_from([0.0, 5.0, 28.0]) | st.floats(0.0, 100.0)
+
+
+@st.composite
+def operator_sessions(draw):
+    """A few sessions over four days, each with its operator; some send nothing, so their retrans is NaN."""
+    sessions, snos = [], []
+    for i in range(draw(st.integers(0, 12))):
+        n = draw(st.integers(1, 3))
+        sent = draw(st.sampled_from([0, 1_000, 10_000_000]))
+        sessions.append(
+            make_session(
+                session_id=f"s{i}",
+                rtts=draw(st.lists(RTTS, min_size=n, max_size=n)),
+                rtt_vars=draw(st.lists(RTT_VARS, min_size=n, max_size=n)),
+                timestamp=f"2021-03-0{draw(st.integers(1, 4))}T12:00:00Z",
+                bytes_sent_final=sent,
+                bytes_retrans_final=draw(st.integers(0, sent)),
+            )
+        )
+        snos.append(draw(st.sampled_from(OPERATORS)))
+    return sessions, snos
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(operator_sessions())
+def test_columns_agree_with_per_session_metrics(drawn):
+    """compare_groups and daily_median_series over the session table equal the per-session reference, float for float."""
+    sessions, snos = drawn
+    catalog, table = catalog_fixture(), session_table(sessions)
+    rows = [session_metrics(session, sno) for session, sno in zip(sessions, snos)]
+    for metric in METRICS:
+        for grouping in (GROUPING_ORBIT, GROUPING_SNO, GROUPING_PEP):
+            expected = reference_compare_groups(rows, catalog, grouping=grouping, metric=metric)
+            assert compare_groups(table, snos, catalog, grouping=grouping, metric=metric) == expected
+        by_sno = {sno: reference_daily_median_series([m for m in rows if m.sno == sno], metric) for sno in sorted(set(snos) - {None})}
+        assert daily_median_series(table, snos, metric) == {sno: series for sno, series in by_sno.items() if series}
 
 
 class TestCorpusMetrics:
