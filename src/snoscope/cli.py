@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -25,7 +26,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from . import bgp, filtering, metrics, profiling, starlink, synth
-from .catalog import SnoCatalog, make_bands
+from .catalog import SnoCatalog, SnoEntry, make_bands
 from .ingest import (
     RecordError,
     TableError,
@@ -35,6 +36,7 @@ from .ingest import (
     _as_str,
     _decode,
     _loads,
+    forked_map,
     parse_aspath_stream,
     parse_catalog,
     parse_pop_table,
@@ -42,6 +44,8 @@ from .ingest import (
     parse_registry,
     parse_speedtest_rows,
     parse_traceroute_stream,
+    until_stopped,
+    usable_cpus,
 )
 from .util import atomic_write, format_rfc3339, sha256_file
 
@@ -115,8 +119,9 @@ class Options:
                          default=_packaged("default_synth_spec.json"))
     catalog: Path = _option("--catalog", (CLASSIFY, METRICS, BGP), "operator catalog JSON (default: bundled)",
                             default=default_catalog_path())
-    parallelism: int | None = _option("--parallelism", (CLASSIFY,),
-                                      "worker processes for the speed-test parse (default: the usable CPUs)", minimum=1)
+    parallelism: int | None = _option(
+        "--parallelism", (CLASSIFY, BGP),
+        "worker processes for classify's parse or report bgp's snapshots (default: the usable CPUs)", minimum=1)
     strict_parsing: bool = _option("--strict-parsing", CORPUS_READERS, "abort on the first malformed record",
                                    default=False)
     global_floor_ms: float = _option("--global-floor", (CLASSIFY,), "relaxed-stage fallback latency floor in ms",
@@ -156,6 +161,9 @@ class Options:
 
     def strictness(self) -> str:
         return "strict" if self.strict_parsing else "lenient"
+
+    def workers(self) -> int:
+        return self.parallelism or usable_cpus()
 
 
 # Each option's field, value check and flag keywords, by config key.
@@ -232,6 +240,11 @@ class ParseErrors:
                 continue
             yield item
 
+    def merge(self, other: ParseErrors) -> None:
+        """Count the records another parse skipped, after this one's."""
+        self.count += other.count
+        self.sample += other.sample[: PARSE_ERROR_SAMPLE - len(self.sample)]
+
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     with atomic_write(path, newline="") as handle:
@@ -289,7 +302,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     errors = ParseErrors()
     digest = hashlib.sha256()
     table = metrics.SessionTableBuilder()
-    rows = parse_speedtest_rows(speedtests_path, opts.strictness(), digest, opts.parallelism)
+    rows = parse_speedtest_rows(speedtests_path, opts.strictness(), digest, opts.workers())
     with contextlib.closing(rows):  # its worker processes end with it
         corpus = filtering.run_pipeline(table.measure(errors.skip(rows)), catalog, min_tests=opts.min_tests,
                                         global_floor_ms=opts.global_floor_ms, bands=opts.bands())
@@ -575,6 +588,15 @@ def cmd_report_traceroute(args: argparse.Namespace) -> int:
 # report: bgp
 
 
+def _snapshot_graph(
+    path: Path, strictness: str, entry: SnoEntry, registry: dict[int, str]
+) -> tuple[bgp.PeeringGraph, ParseErrors]:
+    """An AS-path file's peering graph and the records its parse skipped: one forked_map task."""
+    errors = ParseErrors()
+    records = until_stopped(errors.skip(parse_aspath_stream(path, strictness=strictness)))
+    return bgp.build_graph(records, entry, registry), errors
+
+
 def cmd_report_bgp(args: argparse.Namespace) -> int:
     opts = _merge_options(args)
     if len(opts.input) not in (1, 2):
@@ -591,10 +613,13 @@ def cmd_report_bgp(args: argparse.Namespace) -> int:
     registry = parse_registry(opts.registry)
     truth = None if opts.pops is None else list(parse_pop_table(opts.pops).values())
     errors = ParseErrors()
-    graphs = [
-        bgp.build_graph(errors.skip(parse_aspath_stream(path, strictness=opts.strictness())), entry, registry)
-        for path in opts.input
-    ]
+    graphs = []
+    # Results come in input order, so under strict parsing the first error in input order raises.
+    task = functools.partial(_snapshot_graph, strictness=opts.strictness(), entry=entry, registry=registry)
+    with forked_map(task, [(path,) for path in opts.input], opts.workers()) as results:
+        for graph, file_errors in results:
+            graphs.append(graph)
+            errors.merge(file_errors)
 
     out = opts.out
     names = ["graph.dot"] if len(graphs) == 1 else ["graph_before.dot", "graph_after.dot"]

@@ -6,13 +6,15 @@ ASN registry, PoP locations, reverse DNS). Parsers are streaming and
 line-oriented: under the default lenient policy a malformed line is reported
 as a RecordError value and parsing continues; under the strict policy the
 first malformed line raises. A speed-test session is parsed into the
-SessionRow classify keeps of it; a corpus file can also be parsed over byte
-ranges in worker processes.
+SessionRow classify keeps of it. forked_map runs per-file or per-byte-range
+tasks, such as a range of a corpus file, in forked worker processes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -58,11 +60,11 @@ SNAPSHOT_FIELDS = ("t_offset_ms", "rtt_ms", "rtt_var_ms", "bytes_sent", "bytes_r
 # lines of 12 snapshots). 512 lines parse no faster, and hold twice that.
 CHUNK_LINES = 256
 
-# The smallest byte range parse_speedtest_rows gives a worker process. Forked
-# workers take 15-25 ms to start and stop, and one core parses about 25 MB of
-# speed-test NDJSON a second (2-core host). A range of 10 x 25 ms x 25 MB/s
-# keeps that cost under a tenth of its parse time; a smaller file is parsed
-# in-process.
+# The smallest byte range parse_speedtest_rows gives a worker process, and
+# the fewest bytes forked_map forks for. Forked workers take 15-25 ms to start
+# and stop, and one core parses about 25 MB of speed-test NDJSON a second
+# (2-core host). A range of 10 x 25 ms x 25 MB/s keeps that cost under a tenth
+# of its parse time; smaller input is parsed in-process.
 MIN_SHARD_BYTES = 10 * 25 * 25_000  # 10 x 25 ms x 25,000 bytes/ms
 
 # Distinct strings a ScalarMemo keeps per kind. The traceroute and AS-path
@@ -590,13 +592,16 @@ def parse_speedtest_range(path: str | Path, start: int, end: int, strictness: st
     """Parse the speed-test lines in bytes [start, end) of a file (see _iter_lines) into a shard.
 
     Under strict parsing it stops at the first malformed record, and
-    returns it as the shard's only error.
+    returns it as the shard's only error. In a forked_map worker it also
+    stops, with what it has, once stopped() (polled per chunk) turns true.
     """
     _check_strictness(strictness)
     shard = SpeedTestShard()
     lines = _iter_lines(path, None, start, end)
     try:
         for chunk in iter(lambda: list(islice(lines, CHUNK_LINES)), []):
+            if stopped():
+                break
             shard.lines = chunk[-1][0]
             rows = []
             for item in _parse_chunk(chunk, strictness):
@@ -613,6 +618,65 @@ def parse_speedtest_range(path: str | Path, start: int, end: int, strictness: st
 
 def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+# In a forked_map worker, the event its parent sets once it reads no more
+# results (see stopped); None in any other process. The pool's initializer
+# sets it, because an Event cannot be pickled into a task.
+_stop_event: Any = None
+
+
+def _set_stop_event(event: Any) -> None:
+    global _stop_event
+    _stop_event = event
+
+
+def stopped() -> bool:
+    """Whether this forked_map worker's parent has stopped reading results; a task polls it once per chunk."""
+    return _stop_event is not None and _stop_event.is_set()
+
+
+def until_stopped(items: Iterable[R]) -> Iterator[R]:
+    """The items, checking stopped() before each CHUNK_LINES of them."""
+    items = iter(items)
+    while not stopped():
+        chunk = list(islice(items, CHUNK_LINES))
+        if not chunk:
+            return
+        yield from chunk
+
+
+@contextlib.contextmanager
+def forked_map(function: Callable[..., R], tasks: Sequence[tuple[Any, ...]], parallelism: int) -> Iterator[Iterator[R]]:
+    """Give an iterator of function(*task) for each task, a (path,) or (path, start, end) tuple, in task order.
+
+    min(parallelism, usable CPUs, tasks) forked worker processes run the
+    tasks, and a task's exception is raised where its result would be; the
+    function and the tasks must pickle. When one worker would do, or the
+    tasks span fewer than MIN_SHARD_BYTES, they run in this process as the
+    iterator is read, and multiprocessing is not imported. When the block
+    exits, read to the end or not, tasks not yet started are cancelled and
+    running ones see stopped() turn true. So a strict parse that raises at
+    task k's first error waits for tasks 0..k, which it has read, and for
+    one chunk of each later task.
+    """
+    workers = min(parallelism, usable_cpus(), len(tasks))
+    size = sum(task[2] - task[1] if len(task) == 3 else os.path.getsize(task[0]) for task in tasks)
+    if workers <= 1 or size < MIN_SHARD_BYTES:
+        yield (function(*task) for task in tasks)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # A forked worker starts with this process's imports, and needs only its task.
+    context = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+    stop = context.Event()
+    with ProcessPoolExecutor(workers, mp_context=context, initializer=_set_stop_event, initargs=(stop,)) as pool:
+        try:
+            yield pool.map(function, *zip(*tasks))
+        finally:
+            stop.set()
+            pool.shutdown(cancel_futures=True)
 
 
 def _shard_ranges(path: str | Path, parallelism: int | None) -> list[tuple[int, int]]:
@@ -644,27 +708,21 @@ def _merge_shards(shards: Iterable[SpeedTestShard], strictness: str) -> Iterator
 
 
 def parse_speedtest_rows(
-    path: str | Path, strictness: str = STRICTNESS_LENIENT, digest: Any = None, parallelism: int | None = None
+    path: str | Path, strictness: str = STRICTNESS_LENIENT, digest: Any = None, parallelism: int = 1
 ) -> Iterator[SessionRow | RecordError]:
     """Stream a speed-test corpus file's SessionRows and RecordErrors.
 
     One range (see _shard_ranges) is parsed in this process by
-    parse_speedtest_stream; more by as many forked worker processes, each
-    range's errors before its rows. The rows and errors are the same however
-    the file is split. A digest (a hashlib object) receives the file's bytes.
+    parse_speedtest_stream; more by forked_map's workers, each range's
+    errors before its rows. The rows and errors are the same however the
+    file is split. A digest (a hashlib object) receives the file's bytes.
     """
     ranges = _shard_ranges(path, parallelism)
     if len(ranges) == 1:
         yield from parse_speedtest_stream(path, strictness, digest)
         return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    starts, ends = zip(*ranges)
-    # A forked worker starts with this process's imports, and needs only its range.
-    context = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-    with ProcessPoolExecutor(len(starts), mp_context=context) as pool:
-        shards = pool.map(parse_speedtest_range, repeat(path), starts, ends, repeat(strictness))
+    task = functools.partial(parse_speedtest_range, strictness=strictness)
+    with forked_map(task, [(path, start, end) for start, end in ranges], len(ranges)) as shards:
         if digest is not None:
             with open(path, "rb") as handle:
                 for block in iter(lambda: handle.read(1 << 16), b""):
@@ -870,15 +928,17 @@ def parse_catalog(source: Source) -> SnoCatalog:
 
 
 def _read_all(source: Source) -> str:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
-    if hasattr(source, "read"):
-        data = source.read()  # type: ignore[union-attr]
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    parts = []
-    for chunk in source:
-        parts.append(chunk.decode("utf-8") if isinstance(chunk, bytes) else chunk)
-    return "".join(parts)
+    """A side table's text; a byte that is not UTF-8 is a TableError naming the file and its offset."""
+    try:
+        if isinstance(source, (str, Path)):
+            return Path(source).read_text(encoding="utf-8")
+        if hasattr(source, "read"):
+            data = source.read()  # type: ignore[union-attr]
+            return data.decode("utf-8") if isinstance(data, bytes) else data
+        return "".join(chunk.decode("utf-8") if isinstance(chunk, bytes) else chunk for chunk in source)
+    except UnicodeDecodeError as exc:
+        name = source if isinstance(source, (str, Path)) else getattr(source, "name", "table")
+        raise TableError(f"{name}: invalid UTF-8 at byte {exc.start}") from None
 
 
 def _csv_rows(source: Source, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:

@@ -966,7 +966,7 @@ FLAGS = {
     ("report", "metrics"): {"--config", "--input", "--out", "--dispositions", "--catalog", "--strict-parsing"},
     ("report", "traceroute"): {"--config", "--input", "--out", "--rdns", "--pop-table", "--strict-parsing"},
     ("report", "bgp"): {"--config", "--input", "--out", "--sno", "--registry", "--pops", "--catalog",
-                        "--strict-parsing"},
+                        "--parallelism", "--strict-parsing"},
 }
 
 
@@ -989,14 +989,14 @@ class TestOptionTable:
     def test_each_subcommand_registers_only_the_flags_it_reads(self):
         parser = build_parser()
         assert {path: registered_flags(parser, path) for path in FLAGS} == FLAGS
-        assert sum(len(flags) for flags in FLAGS.values()) == 34
+        assert sum(len(flags) for flags in FLAGS.values()) == 35
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["report", "traceroute", "--min-tests", "3"],
             ["synth", "--strict-parsing"],
-            ["report", "bgp", "--parallelism", "8"],
+            ["report", "traceroute", "--parallelism", "8"],
             ["report", "metrics", "--seed", "1"],
             ["classify", "--pop-table", "pops.csv"],
         ],

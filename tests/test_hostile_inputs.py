@@ -98,3 +98,34 @@ def test_report_metrics_on_mutated_classify_files(classify_run, data):
         if code == 2:
             assert snapshot(out) == before
             assert stderr.getvalue().splitlines()[-1].startswith("error:"), stderr.getvalue()
+
+
+@pytest.mark.parametrize("flag", ["--catalog", "--registry", "--rdns", "--pop-table", "--pops"])
+def test_a_table_that_is_not_utf8_is_an_input_error_naming_its_file(classify_run, bundled_pop_table, tmp_path, flag,
+                                                                    capsys):
+    speedtests, _ = classify_run
+    corpus = speedtests.parent
+    registry = tmp_path / "registry.csv"
+    registry.write_text("asn,country_code\n3356,US\n174,US\n")
+    tables = {"--catalog": default_catalog_path(), "--registry": registry, "--rdns": corpus / "rdns.csv",
+              "--pop-table": bundled_pop_table, "--pops": bundled_pop_table}
+    bad = tmp_path / f"bad{Path(tables[flag]).suffix}"
+    data = Path(tables[flag]).read_bytes()
+    bad.write_bytes(data[:12] + b"\xff" + data[12:])
+    tables[flag] = bad
+    argv = {
+        "--catalog": ["classify", "--input", speedtests, "--catalog", tables["--catalog"]],
+        "--registry": ["report", "bgp", "--input", corpus / "as_paths.txt", "--sno", "starlink",
+                       "--registry", tables["--registry"], "--pops", tables["--pops"]],
+        "--rdns": ["report", "traceroute", "--input", corpus / "traceroutes.ndjson",
+                   "--rdns", tables["--rdns"], "--pop-table", tables["--pop-table"]],
+    }
+    argv["--pops"], argv["--pop-table"] = argv["--registry"], argv["--rdns"]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.csv").write_bytes(b"an earlier run's table\n")
+    before = snapshot(out)
+
+    assert main([str(arg) for arg in argv[flag] + ["--out", out]]) == 2
+    assert snapshot(out) == before
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {bad}: invalid UTF-8 at byte 12"

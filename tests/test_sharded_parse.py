@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import multiprocessing
 import os
 import pickle
+import shutil
 import signal
+import time
 from ipaddress import ip_address
 from pathlib import Path
 
@@ -17,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_session, reference_rows, session_to_json
-from snoscope import ingest
+from snoscope import bgp, cli, ingest
 from snoscope.cli import main
 from snoscope.ingest import (
     RecordError,
@@ -279,3 +282,141 @@ def test_a_failing_worker_fails_classify_without_outputs(speedtests, tmp_path, m
         assert main(["classify", "--input", str(speedtests), "--out", str(out), "--parallelism", "2"]) == code
     assert not out.exists()
     assert multiprocessing.active_children() == []
+
+
+def slow_down(monkeypatch, name, seconds):
+    """Make each call of ingest.<name> sleep first, in this process and in forked workers.
+
+    A range or snapshot that is not stopped then takes its line count times
+    seconds, so a run that waits for it cannot meet a short deadline.
+    """
+    function = getattr(ingest, name)
+
+    def slow(*args, **kwargs):
+        time.sleep(seconds)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, name, slow)
+    monkeypatch.setattr(ingest, "CHUNK_LINES", 1)
+
+
+def strict_runs(argv: list[str]) -> list[tuple[int, float, str]]:
+    """Exit code, seconds and last stderr line of a strict run at --parallelism 1, then 2."""
+    runs = []
+    for parallelism in ("1", "2"):
+        stderr = io.StringIO()
+        start = time.perf_counter()
+        with deadline(60), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--strict-parsing", "--parallelism", parallelism])
+        runs.append((code, time.perf_counter() - start, stderr.getvalue().splitlines()[-1]))
+    return runs
+
+
+def test_strict_classify_stops_the_later_ranges(speedtests, tmp_path, many_shards, monkeypatch):
+    """A bad line 2 ends a 2-range strict parse without waiting for range 2, which would take 2 s."""
+    lines = speedtests.read_bytes().splitlines(keepends=True)
+    corpus = tmp_path / "speedtests.ndjson"
+    corpus.write_bytes(b"".join([lines[0], b"not json\n", *(lines[3:] * 4)]))
+    assert len(ingest._shard_ranges(corpus, 2)) == 2
+    slow_down(monkeypatch, "_parse_chunk", 0.01)
+    out = tmp_path / "out"
+    for code, seconds, last in strict_runs(["classify", "--input", str(corpus), "--out", str(out)]):
+        assert (code, last) == (2, "error: line 2: invalid JSON: Expecting value")
+        assert seconds < 1.0
+    assert not out.exists()
+
+
+def test_strict_report_bgp_stops_the_later_snapshot(tmp_path, many_shards, monkeypatch):
+    """A bad first line in the first snapshot ends the run without waiting for the second, which would take 4 s."""
+    before, after, registry = tmp_path / "before.txt", tmp_path / "after.txt", tmp_path / "registry.csv"
+    path = "2023-01-01T00:00:00Z 3356 14593\n"
+    before.write_text("2023-01-01T00:00:00Z AS3356\n" + path * 399)
+    after.write_text(path * 400)
+    registry.write_text("asn,country_code\n3356,US\n")
+    slow_down(monkeypatch, "aspath_from_line", 0.01)
+    out = tmp_path / "out"
+    argv = ["report", "bgp", "--input", str(before), str(after), "--sno", "starlink", "--registry", str(registry),
+            "--out", str(out)]
+    for code, seconds, last in strict_runs(argv):
+        assert (code, last) == (2, "error: line 1: non-numeric ASN token 'AS3356'")
+        assert seconds < 1.0
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# report bgp with one worker per snapshot
+
+STAMPS = ["2023-01-01T00:00:00Z", "2023-02-01T00:00:00+01:00"]
+
+ASPATH_LINES = st.one_of(
+    st.builds(
+        lambda stamp, asns: f"{stamp} {' '.join(map(str, asns))}".encode(),
+        st.sampled_from(STAMPS),
+        st.lists(st.sampled_from([14593, 14593, 3356, 174, 1299, 64500]), min_size=1, max_size=5),
+    ),
+    st.sampled_from([
+        b"", b"   ", b"# a comment", b"  # indented comment", STAMPS[0].encode(), b"2023-01-01T00:00:00Z 3356 x",
+        b"not-a-time 3356 14593", b"2023-01-01T00:00:00Z 0 14593", b"2023-01-01T00:00:00Z 4294967296 14593",
+        b"2023-01-01 3356 14593", "2023-01-01T00:00:00Z ١ 14593".encode(), b"2023-01-01T00:00:00Z \xff 14593",
+    ]),
+)
+
+
+@pytest.fixture(scope="module")
+def bgp_dir(tmp_path_factory) -> Path:
+    """A directory that each example overwrites: two snapshots, a registry and the runs' outputs."""
+    base = tmp_path_factory.mktemp("bgp-workers")
+    (base / "registry.csv").write_text("asn,country_code\n3356,US\n174,US\n1299,SE\n")
+    return base
+
+
+def bgp_run(base: Path, out: Path, strict: bool, *extra: str) -> tuple[int, str, str, dict[str, bytes], list]:
+    """Exit code, stdout, last stderr line, output files and the parent's merged error count and sample."""
+    argv = ["report", "bgp", "--input", str(base / "before.txt"), str(base / "after.txt"), "--sno", "starlink",
+            "--registry", str(base / "registry.csv"), "--out", str(out), *extra]
+    merged: list = []
+    merge = cli.ParseErrors.merge
+
+    def recording_merge(self, other):
+        merge(self, other)
+        merged[:] = [self.count, [(error.line_no, error.reason) for error in self.sample]]
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, deadline(60):
+        patch.setattr(cli.ParseErrors, "merge", recording_merge)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + (["--strict-parsing"] if strict else []))
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())} if out.exists() else {}
+    last = (stderr.getvalue().splitlines() or [""])[-1]
+    return code, stdout.getvalue().replace(str(out), "OUT"), last, files, merged
+
+
+@settings(SETTINGS, max_examples=40)
+@given(
+    snapshots=st.lists(st.lists(ASPATH_LINES, max_size=15), min_size=2, max_size=2),
+    parallelism=st.integers(1, 4),
+    strict=st.booleans(),
+)
+def test_report_bgp_is_the_same_at_any_parallelism(bgp_dir, snapshots, parallelism, strict):
+    for name, lines in zip(("before.txt", "after.txt"), snapshots):
+        (bgp_dir / name).write_bytes(b"".join(line + b"\n" for line in lines))
+    for out in ("reference", "workers"):
+        shutil.rmtree(bgp_dir / out, ignore_errors=True)
+    reference = bgp_run(bgp_dir, bgp_dir / "reference", strict, "--parallelism", "1")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "MIN_SHARD_BYTES", 1)
+        patch.setattr(ingest, "usable_cpus", lambda: 4)
+        assert bgp_run(bgp_dir, bgp_dir / "workers", strict, "--parallelism", str(parallelism)) == reference
+    assert multiprocessing.active_children() == []
+    assert reference[0] == 0 or (strict and reference[2].startswith("error: line "))
+    if not strict:
+        # The in-process run against the parse alone: each graph, and the errors in input order.
+        catalog = ingest.parse_catalog(cli.default_catalog_path())
+        registry = ingest.parse_registry(bgp_dir / "registry.csv")
+        items = [list(ingest.parse_aspath_stream(bgp_dir / name)) for name in ("before.txt", "after.txt")]
+        for name, parsed in zip(("graph_before.dot", "graph_after.dot"), items):
+            records = [item for item in parsed if not isinstance(item, RecordError)]
+            graph = bgp.build_graph(records, catalog.get("starlink"), registry)
+            assert reference[3][name] == bgp.graph_to_dot(graph).encode()
+        errors = [(item.line_no, item.reason) for parsed in items for item in parsed if isinstance(item, RecordError)]
+        assert reference[4] == [len(errors), errors[: cli.PARSE_ERROR_SAMPLE]]
